@@ -66,7 +66,11 @@ impl LayoutStats {
 }
 
 /// A loadable UDP program.
-#[derive(Debug, Clone)]
+///
+/// Equality is exact over every field, certificate included: the sim
+/// engine keys its prepared-kernel memo on it, so two images compare
+/// equal only when every run of one is a run of the other.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramImage {
     /// The memory image, `stats.span_words` long, window-relative.
     pub words: Vec<Word>,

@@ -41,11 +41,11 @@ use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-use udp_asm::{DecodedProgram, LayoutOptions, ProgramImage};
+use udp_asm::{LayoutOptions, ProgramImage};
 use udp_isa::mem::{BANK_WORDS, NUM_BANKS};
 use udp_sim::engine::Staging;
 use udp_sim::{
-    ChunkOutcome, ExecBackend, FaultKind, LaneConfig, ReferenceFallback, SimError,
+    ChunkOutcome, ExecBackend, FaultKind, LaneConfig, PreparedKernel, ReferenceFallback, SimError,
     SupervisorOptions, Udp, UdpRunOptions,
 };
 use udp_store::ArtifactStore;
@@ -172,16 +172,24 @@ pub struct ServeStats {
     pub cycles: u64,
 }
 
-/// A registered kernel: the verified program image, its predecode-once
-/// execution table (shared by every wave instead of re-predecoding per
-/// run), and its optional software reference fallback (the
-/// supervisor's second rung).
+/// A registered kernel: the verified program prepared once (its
+/// predecoded table, and the compiled tables its first compiled wave
+/// lowers, shared by every later wave), and its optional software
+/// reference fallback (the supervisor's second rung).
 #[derive(Clone)]
 struct KernelSpec {
-    image: Arc<ProgramImage>,
-    decoded: Arc<DecodedProgram>,
+    kernel: Arc<PreparedKernel>,
     banks_per_lane: usize,
     fallback: Option<Arc<dyn ReferenceFallback>>,
+}
+
+/// Prepares a store artifact's kernel, sharing its image and predecoded
+/// table by `Arc`.
+fn prepare_artifact(artifact: &udp_store::Artifact) -> Arc<PreparedKernel> {
+    Arc::new(PreparedKernel::with_decoded(
+        Arc::clone(&artifact.image),
+        &artifact.decoded,
+    ))
 }
 
 struct TenantState {
@@ -445,13 +453,12 @@ impl ServeHandle {
             }
             _ => image,
         };
-        let decoded = Arc::new(image.predecode());
+        let kernel = Arc::new(PreparedKernel::new(image));
         let mut st = self.shared.lock();
         st.kernels.insert(
             name.into(),
             KernelSpec {
-                image,
-                decoded,
+                kernel,
                 banks_per_lane,
                 fallback,
             },
@@ -490,8 +497,7 @@ impl ServeHandle {
         st.kernels.insert(
             name,
             KernelSpec {
-                image: Arc::clone(&artifact.image),
-                decoded: Arc::clone(&artifact.decoded),
+                kernel: prepare_artifact(artifact),
                 banks_per_lane: artifact.banks_per_lane,
                 fallback,
             },
@@ -508,7 +514,7 @@ impl ServeHandle {
             .lock()
             .kernels
             .get(name)
-            .and_then(|k| k.image.cert.clone())
+            .and_then(|k| k.kernel.image().cert.clone())
     }
 
     /// Submits a job. Admission is non-blocking: a refused job comes
@@ -532,7 +538,8 @@ impl ServeHandle {
                 return Err(ServeError::UnknownKernel { name: spec.kernel });
             }
             Some(k) => k
-                .image
+                .kernel
+                .image()
                 .cert
                 .as_ref()
                 .and_then(|c| c.cycle_bound(spec.payload.len())),
@@ -786,8 +793,7 @@ fn apply_record(
                 st.kernels.insert(
                     name.clone(),
                     KernelSpec {
-                        image: Arc::clone(&artifact.image),
-                        decoded: Arc::clone(&artifact.decoded),
+                        kernel: prepare_artifact(&artifact),
                         banks_per_lane: artifact.banks_per_lane,
                         fallback,
                     },
@@ -1039,7 +1045,8 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
         // of the wave: cutting off at the bound can never cancel a
         // legitimate run, only a soundness violation (DESIGN.md §9.1).
         let cert_cap = kernel
-            .image
+            .kernel
+            .image()
             .cert
             .as_ref()
             .and_then(|c| c.cycle_bound(job.payload.len()))
@@ -1072,15 +1079,9 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
     };
     let inputs: Vec<&[u8]> = runnable.iter().map(|j| j.payload.as_slice()).collect();
     let staging = Staging::default();
-    // The kernel's predecoded table is shared with the engine — decoded
-    // once at registration, reused by every wave of every job.
-    let report = Udp::new().try_run_data_parallel_shared(
-        &kernel.image,
-        &kernel.decoded,
-        &inputs,
-        &staging,
-        &opts,
-    );
+    // The kernel was prepared once at registration; every wave of
+    // every job reuses its predecoded and compiled tables.
+    let report = Udp::new().run(&kernel.kernel, &inputs, &staging, &opts);
 
     let done = Instant::now();
     let mut st = shared.lock();

@@ -4,7 +4,8 @@
 //! per-*program* property: which dispatch slots of a state hit, whether
 //! the taken transition carries actions, and where it lands. This
 //! module lowers a verified, predecoded program into specialized
-//! per-state dispatch tables at program-load time:
+//! per-state dispatch tables once per `PreparedKernel`, on its first
+//! compiled run:
 //!
 //! * every reachable `(state base, exec kind)` pair discovered by a
 //!   breadth-first walk of the transition graph becomes one compiled
@@ -126,8 +127,8 @@ impl Decline {
 
 /// Why the tier-2 compiled backend declines to specialize `image`, as
 /// a stable reason string — `None` when it compiles. Diagnostic-only
-/// (re-runs the compile pipeline; the engine keeps its own compiled
-/// program).
+/// (re-runs the compile pipeline; runs use the tables their
+/// `PreparedKernel` keeps).
 pub(crate) fn decline_reason(image: &ProgramImage) -> Option<&'static str> {
     let decoded = image.predecode();
     CompiledProgram::compile(image, &decoded)
@@ -682,6 +683,10 @@ impl CompiledProgram {
                     states[st].pass = Some(pass_plan(image, decoded, span, base, &resolve));
                 }
                 ExecKind::Consume | ExecKind::Flagged => {
+                    // Every signature miss of a state takes the same
+                    // fallback word, so its general entry is built once
+                    // and shared by all the state's missing symbols.
+                    let mut fallback_entry = None;
                     for s in 0u32..256 {
                         let (hit_t, fb_t) = slot_transitions(image, decoded, span, base, s);
                         let entry = match (hit_t, fb_t) {
@@ -707,14 +712,17 @@ impl CompiledProgram {
                                 if is_trivial(&t) && next != u32::MAX {
                                     TAG_MISS | next
                                 } else {
-                                    let g = general.len() as u32;
-                                    let block = cache_block(decoded, &t, abase, ascale, try_fuse);
-                                    general.push(GeneralEntry {
-                                        t,
-                                        miss: true,
-                                        next,
-                                        block,
-                                        inline: None,
+                                    let g = *fallback_entry.get_or_insert_with(|| {
+                                        let block =
+                                            cache_block(decoded, &t, abase, ascale, try_fuse);
+                                        general.push(GeneralEntry {
+                                            t,
+                                            miss: true,
+                                            next,
+                                            block,
+                                            inline: None,
+                                        });
+                                        general.len() as u32 - 1
                                     });
                                     TAG_GENERAL | g
                                 }
@@ -757,8 +765,15 @@ impl CompiledProgram {
         // one [`BitEmit`] each. The row is the sub-byte/misaligned twin
         // of the dense byte-burst — it is what makes action-per-symbol
         // kernels (Huffman encode/decode, bit-packing) compile at all.
+        // Equal records are stored once and shared by every row position
+        // that dispatches to them: a trivial record is determined by its
+        // successor and miss flag, a fused one by the general entry it
+        // fuses (a state's misses all share one). `None` = not built yet;
+        // `Some(BITEMIT_NONE)` = that general entry does not fuse.
         let mut bit_tables: Vec<Option<Box<[u16; 256]>>> = vec![None; n];
         let mut bitemits: Vec<BitEmit> = Vec::new();
+        let mut trivial_at: Vec<[Option<u16>; 2]> = vec![[None; 2]; n];
+        let mut general_at: Vec<Option<u16>> = vec![None; general.len()];
         let mut any_bitfused = false;
         for st in 0..n {
             if states[st].kind != ExecKind::Consume {
@@ -768,33 +783,49 @@ impl CompiledProgram {
             let mut populated = false;
             for s in 0..256usize {
                 let e = dense[st][s];
-                let be = if e < TAG_GENERAL {
-                    // Trivial hit/miss: 1 (+1 miss) cycle, same reads.
-                    Some(BitEmit {
-                        code: 0,
-                        len: 0,
-                        miss: e >= TAG_MISS,
-                        dyn_byte: None,
-                        pass_mid: None,
-                        refill: 0,
-                        writes: [(0, 0); 2],
-                        nwrites: 0,
-                        nacts: 0,
-                        next: e & PAYLOAD_MASK,
-                    })
+                let payload = (e & PAYLOAD_MASK) as usize;
+                let at = if e < TAG_GENERAL {
+                    &mut trivial_at[payload][usize::from(e >= TAG_MISS)]
                 } else if e < TAG_EXIT && try_bitemit {
-                    let ge = &general[(e & PAYLOAD_MASK) as usize];
-                    bitemit_entry(ge, &states, decoded, abase, ascale)
+                    &mut general_at[payload]
                 } else {
-                    None
+                    continue;
                 };
-                if let Some(be) = be {
-                    if bitemits.len() >= usize::from(BITEMIT_NONE) {
-                        break;
+                let i = match *at {
+                    Some(i) => i,
+                    None => {
+                        let be = if e < TAG_GENERAL {
+                            // Trivial hit/miss: 1 (+1 miss) cycle, same reads.
+                            Some(BitEmit {
+                                code: 0,
+                                len: 0,
+                                miss: e >= TAG_MISS,
+                                dyn_byte: None,
+                                pass_mid: None,
+                                refill: 0,
+                                writes: [(0, 0); 2],
+                                nwrites: 0,
+                                nacts: 0,
+                                next: payload as u32,
+                            })
+                        } else {
+                            bitemit_entry(&general[payload], &states, decoded, abase, ascale)
+                        };
+                        let i = match be {
+                            None => BITEMIT_NONE,
+                            Some(_) if bitemits.len() >= usize::from(BITEMIT_NONE) => break,
+                            Some(be) => {
+                                any_bitfused |= be.len > 0 || be.dyn_byte.is_some();
+                                bitemits.push(be);
+                                (bitemits.len() - 1) as u16
+                            }
+                        };
+                        *at = Some(i);
+                        i
                     }
-                    any_bitfused |= be.len > 0 || be.dyn_byte.is_some();
-                    row[s] = bitemits.len() as u16;
-                    bitemits.push(be);
+                };
+                if i != BITEMIT_NONE {
+                    row[s] = i;
                     populated = true;
                 }
             }
@@ -990,6 +1021,32 @@ mod tests {
         let b = cp.dense[entry][b'b' as usize];
         assert_eq!(b & !PAYLOAD_MASK, TAG_MISS);
         assert_eq!(b & PAYLOAD_MASK, entry as u32);
+    }
+
+    #[test]
+    fn equal_side_table_entries_are_stored_once() {
+        // Every byte but `a` misses to a fallback arc with an action.
+        let mut b = ProgramBuilder::new();
+        let s = b.add_consuming_state();
+        b.set_entry(s);
+        b.labeled_arc(s, b'a' as u16, Target::State(s), vec![]);
+        b.fallback_arc(
+            s,
+            Target::State(s),
+            vec![Action::imm(Opcode::EmitB, Reg::R0, Reg::R0, b'.' as u16)],
+        );
+        let image = b.assemble(&LayoutOptions::default()).unwrap();
+        let decoded = image.predecode();
+        let cp = CompiledProgram::compile(&image, &decoded).expect("must specialize");
+        let entry = cp.lookup(image.entry_base, image.entry_kind).unwrap() as usize;
+        let miss = cp.dense[entry][b'b' as usize];
+        assert_eq!(miss & !PAYLOAD_MASK, TAG_GENERAL);
+        assert!((0..256)
+            .filter(|&s| s != usize::from(b'a'))
+            .all(|s| cp.dense[entry][s] == miss));
+        assert_eq!(cp.general.len(), 1, "the 255 misses share one entry");
+        // One trivial hit record and one fused miss record.
+        assert_eq!(cp.bitemits.len(), 2);
     }
 
     /// A scanner whose delimiter arc carries the `EmitSpan` idiom

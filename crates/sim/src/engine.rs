@@ -5,6 +5,7 @@ use crate::error::{FaultKind, SimError};
 use crate::lane::{Lane, LaneConfig, LaneReport, LaneStatus};
 use crate::memory::LocalMemory;
 use crate::pool::{self, RunParams};
+use crate::prepared::PreparedKernel;
 use crate::stream::{BitStream, OutputSink};
 use crate::supervisor::{self, RunHealth, SupervisorOptions};
 use std::sync::Arc;
@@ -220,6 +221,15 @@ impl UdpRunReport {
 #[derive(Debug)]
 pub struct Udp {
     mem: LocalMemory,
+    /// The kernel the image-taking entry points prepared last, reused
+    /// while callers keep passing an equal image (exact
+    /// [`ProgramImage`] equality, certificate included).
+    memo: Option<Arc<PreparedKernel>>,
+    /// Per-bank zero marks: every word of bank `b` at a bank offset of
+    /// `high[b]` or more is zero. Local-addressing copy-back writes
+    /// only each window's dirty prefix and zeroes just what these say
+    /// the memory held above it.
+    high: [usize; NUM_BANKS],
 }
 
 impl Udp {
@@ -227,6 +237,8 @@ impl Udp {
     pub fn new() -> Self {
         Udp {
             mem: LocalMemory::new(),
+            memo: None,
+            high: [0; NUM_BANKS],
         }
     }
 
@@ -270,15 +282,10 @@ impl Udp {
     /// [`LaneStatus::Fault`] in its own report while the sibling
     /// chunks' reports survive.
     ///
-    /// The program is predecoded once into a [`DecodedProgram`] shared by
-    /// every lane, so the per-symbol hot path indexes a table instead of
-    /// re-decoding transition/action words. Under local addressing the
-    /// run goes through the persistent lane pool (`pool` module): private
-    /// window memories with incremental dirty-prefix resets, and — with
-    /// [`UdpRunOptions::parallel`] set — dynamic chunk scheduling over
-    /// persistent worker threads. Modeled time is recomputed from the
-    /// per-lane reports with the wave formula, keeping the report
-    /// bit-identical to sequential runs.
+    /// [`Udp::run`] over a memoized [`PreparedKernel`]: the device keeps
+    /// the kernel it prepared last and reuses it while `image` compares
+    /// equal, so a caller streaming many calls through one program
+    /// predecodes and compiles it once.
     pub fn try_run_data_parallel(
         &mut self,
         image: &ProgramImage,
@@ -286,19 +293,18 @@ impl Udp {
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
-        self.try_run_inner(image, None, inputs, staging, opts)
+        let kernel = self.memoized(image, None);
+        self.run(&kernel, inputs, staging, opts)
     }
 
     /// [`Udp::try_run_data_parallel`] with a caller-provided predecoded
-    /// table, for callers that run the same image many times (the serve
-    /// runtime's kernel registry, the artifact store's AOT pipeline).
-    /// Skips the per-run `image.predecode()` — the one remaining
-    /// per-dispatch cost proportional to program size.
-    ///
-    /// `decoded` must be the predecode of *this* `image`; the engine
-    /// cross-checks the table length and silently predecodes afresh on
-    /// a mismatch (correctness is never entrusted to the caller — a
-    /// stale table would merely lose the sharing win).
+    /// table, for callers that already hold one (the artifact store's
+    /// artifacts). The table is only consulted when the memo misses:
+    /// it is shared if its raw words are exactly `image.words` and
+    /// replaced by a fresh predecode otherwise, so a table of another
+    /// image — even one of the same length — can never run in this
+    /// image's place. Callers that own the kernel should build a
+    /// [`PreparedKernel`] and call [`Udp::run`] instead.
     pub fn try_run_data_parallel_shared(
         &mut self,
         image: &ProgramImage,
@@ -307,17 +313,51 @@ impl Udp {
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
-        self.try_run_inner(image, Some(decoded), inputs, staging, opts)
+        let kernel = self.memoized(image, Some(decoded));
+        self.run(&kernel, inputs, staging, opts)
     }
 
-    fn try_run_inner(
+    /// The memoized kernel for `image`, preparing (and remembering) a
+    /// new one when the last one was prepared from a different image.
+    fn memoized(
         &mut self,
         image: &ProgramImage,
-        shared_decoded: Option<&Arc<DecodedProgram>>,
+        decoded: Option<&Arc<DecodedProgram>>,
+    ) -> Arc<PreparedKernel> {
+        match &self.memo {
+            Some(k) if k.image() == image => Arc::clone(k),
+            _ => {
+                let image = Arc::new(image.clone());
+                let kernel = Arc::new(match decoded {
+                    Some(d) => PreparedKernel::with_decoded(image, d),
+                    None => PreparedKernel::new(image),
+                });
+                self.memo = Some(Arc::clone(&kernel));
+                kernel
+            }
+        }
+    }
+
+    /// Runs a prepared kernel data-parallel over `inputs`, one chunk
+    /// per lane, with optional per-lane staging; chunks beyond lane
+    /// capacity execute in further waves (wall cycles accumulate).
+    ///
+    /// Under local addressing the run goes through the lane pool
+    /// (`pool` module): private window memories with incremental
+    /// dirty-prefix resets, and — with [`UdpRunOptions::parallel`]
+    /// set — dynamic chunk scheduling over worker threads, the calling
+    /// thread among them. Modeled time is recomputed from the per-lane
+    /// reports with the wave formula, keeping the report bit-identical
+    /// to sequential runs. The compiled backend lowers the kernel on
+    /// its first compiled run and reuses those tables afterwards.
+    pub fn run(
+        &mut self,
+        kernel: &PreparedKernel,
         inputs: &[&[u8]],
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
+        let image = kernel.image();
         if !image.executable {
             return Err(SimError::NotExecutable);
         }
@@ -355,10 +395,7 @@ impl Udp {
             Some(cert) if staging.regs.is_empty() => opts.lane.with_cert(cert),
             _ => opts.lane.clone(),
         };
-        let decoded = match shared_decoded {
-            Some(d) if d.len() == image.words.len() => Arc::clone(d),
-            _ => Arc::new(image.predecode()),
-        };
+        let decoded = kernel.decoded();
         // Per-bank counts only feed the conflict model, which local
         // (disjoint-window) addressing never consults.
         self.mem.set_bank_tracking(opts.addressing.allows_sharing());
@@ -371,25 +408,24 @@ impl Udp {
         // lanes may genuinely communicate, and the conflict model needs
         // the merged per-bank reference counts.
         if opts.addressing == AddressingMode::Local {
-            // Specialize once per run; every chunk shares the tables.
             // A compile decline (oversized state space, wide symbols,
-            // non-executable image, nothing to fuse) silently falls
-            // back to the interpreter — the semantics are identical
-            // either way; `compiled_decline_reason` surfaces the why.
+            // nothing to fuse) silently falls back to the interpreter —
+            // the semantics are identical either way;
+            // `compiled_decline_reason` surfaces the why.
             let compiled = if opts.backend == ExecBackend::Compiled {
-                crate::compiled::CompiledProgram::compile(image, &decoded).ok()
+                kernel.compiled()
             } else {
                 None
             };
             let params = RunParams {
                 image,
-                decoded: &decoded,
+                decoded,
                 staging,
                 cfg: &lane_cfg,
                 window_words,
                 lanes_cap,
                 code_clean: staging_clears_code(staging, image.stats.span_words),
-                compiled: compiled.as_ref(),
+                compiled,
             };
             let (mut lane_reports, mut finals) = if opts.parallel && inputs.len() > 1 {
                 let (results, finals) = pool::run_pooled(&params, inputs);
@@ -423,12 +459,13 @@ impl Udp {
             // into device memory, so `read_lane_bytes` sees the same
             // post-run state as running every wave on the device.
             for (slot, words) in finals {
-                let origin = (slot * opts.banks_per_lane * BANK_WORDS) as u32;
-                self.mem.load_words(origin, &words);
+                self.copy_back(slot * window_words, window_words, &words);
             }
             return Ok(Self::merge_report(lane_reports, lanes_cap, opts, health));
         }
 
+        // Lanes may write anywhere in the device memory.
+        self.high = [BANK_WORDS; NUM_BANKS];
         let mut lane_reports = Vec::with_capacity(inputs.len());
         let mut wall_cycles = 0u64;
         let mut total_conflict = 0u64;
@@ -438,7 +475,7 @@ impl Udp {
             let mut wave_cycles = 0u64;
             let mut wave_bank_refs = [0u64; NUM_BANKS];
             for (i, input) in wave.iter().enumerate() {
-                let origin = (i * opts.banks_per_lane * BANK_WORDS) as u32;
+                let origin = (i * window_words) as u32;
                 self.mem.load_words(origin, &image.words);
                 // Zero the data area above the code within the window.
                 self.mem.clear_words(
@@ -448,7 +485,7 @@ impl Udp {
                 for (off, bytes) in &staging.segments {
                     self.mem.load_bytes(origin * 4 + off, bytes);
                 }
-                let mut lane = Lane::with_decoded(image, origin, Arc::clone(&decoded));
+                let mut lane = Lane::with_decoded(image, origin, Arc::clone(decoded));
                 // The window was loaded fresh just above, so unless a
                 // staging segment overwrote code words the lane may
                 // serve fetches from the predecoded table directly.
@@ -502,6 +539,26 @@ impl Udp {
             health: RunHealth::passive(&lane_reports),
             lanes: lane_reports,
         })
+    }
+
+    /// Installs a final window snapshot: `words`, the dirty prefix of
+    /// the window at word `origin`, is copied in, and the rest of the
+    /// window is zeroed — but only as far up as each bank's zero mark
+    /// says the device memory held anything. The device window then
+    /// holds exactly the final window contents, while an untouched
+    /// window tail costs no work (and no memory pages).
+    fn copy_back(&mut self, origin: usize, window_words: usize, words: &[u32]) {
+        self.mem.load_words(origin as u32, words);
+        let end = origin + words.len();
+        for bank in origin / BANK_WORDS..(origin + window_words) / BANK_WORDS {
+            let start = bank * BANK_WORDS;
+            let keep = end.clamp(start, start + BANK_WORDS);
+            let held = start + self.high[bank];
+            if held > keep {
+                self.mem.clear_words(keep as u32, held - keep);
+            }
+            self.high[bank] = keep - start;
+        }
     }
 
     /// Builds the aggregate report from per-lane reports under local

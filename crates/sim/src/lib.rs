@@ -10,6 +10,8 @@
 //! * [`Udp`] models the 64-lane device: program loading at per-lane
 //!   window origins, data-parallel execution, restricted/global/local
 //!   addressing, and bank-conflict stall accounting.
+//! * [`PreparedKernel`] is a program prepared once for many runs: its
+//!   image, predecoded table, and lazily compiled dispatch tables.
 //! * [`energy`] holds the power/area model seeded with the paper's
 //!   Table 3 constants and a CACTI-lite memory-energy model.
 //!
@@ -54,6 +56,7 @@ pub mod error;
 pub mod lane;
 pub mod memory;
 mod pool;
+mod prepared;
 pub mod stream;
 pub mod supervisor;
 
@@ -62,6 +65,7 @@ pub use engine::{ExecBackend, ParseBackendError, Staging, Udp, UdpRunOptions, Ud
 pub use error::{FaultKind, SimError};
 pub use lane::{Lane, LaneConfig, LaneReport, LaneStatus};
 pub use memory::LocalMemory;
+pub use prepared::PreparedKernel;
 pub use stream::{BitStream, OutputSink};
 pub use supervisor::{
     ChunkOutcome, QuarantineReason, ReferenceFallback, RunHealth, SupervisorOptions,
@@ -70,8 +74,9 @@ pub use supervisor::{
 /// Why the tier-2 compiled backend would decline to specialize `image`,
 /// as a stable snake-case reason string — `None` when it compiles.
 ///
-/// Diagnostic-only: re-runs the compile pipeline from scratch (the
-/// engine keeps its own compiled program), so call it off the hot path.
+/// Diagnostic-only: re-runs the compile pipeline from scratch (runs use
+/// the tables their [`PreparedKernel`] keeps), so call it off the hot
+/// path.
 /// Benches surface it as the `compiled_declined` column in
 /// `hostperf --json`, recording *why* a kernel ran at interpreter
 /// parity instead of leaving a silent gap in the trajectory.

@@ -7,7 +7,10 @@
 //!
 //! * workers are created **once per run** and pull chunk indices from a
 //!   shared atomic counter — dynamic scheduling with no host-side wave
-//!   barrier, so a fast lane immediately takes the next chunk;
+//!   barrier, so a fast lane immediately takes the next chunk. The
+//!   calling thread is one of the workers: it claims chunk 0 before
+//!   any helper thread exists, so a run of `w` workers spawns `w - 1`
+//!   threads;
 //! * each worker owns a [`LaneSlot`] — a private window-sized
 //!   [`LocalMemory`] and a reusable [`OutputSink`] — reused across all
 //!   the chunks it claims;
@@ -21,7 +24,11 @@
 //!   degrades to [`LaneStatus::Fault`] in its own report while sibling
 //!   chunks survive — same contract as the per-wave threads had;
 //! * reports land in an index-addressed results vector, so the merged
-//!   output is deterministic regardless of which worker ran which chunk.
+//!   output is deterministic regardless of which worker ran which chunk;
+//! * the final occupant of each device lane slot hands back only its
+//!   window's dirty prefix ([`LaneSlot::snapshot`]): every word above
+//!   it is zero, and the engine zeroes that range on copy-back only
+//!   where the device memory held anything.
 //!
 //! Host scheduling is decoupled from modeled time: the engine recomputes
 //! `wall_cycles` from the per-lane reports with the wave formula
@@ -66,10 +73,11 @@ pub(crate) struct RunParams<'a> {
     pub compiled: Option<&'a crate::compiled::CompiledProgram>,
 }
 
-/// A final window snapshot: `(device lane slot, window words)` for the
-/// last chunk that occupied that slot. The engine copies these into the
-/// shared device memory so `read_lane_bytes` sees the same post-run
-/// state as a fully sequential run.
+/// A final window snapshot: `(device lane slot, dirty window prefix)`
+/// for the last chunk that occupied that slot — every window word past
+/// the prefix is zero. The engine copies these into the shared device
+/// memory so `read_lane_bytes` sees the same post-run state as a fully
+/// sequential run.
 pub(crate) type WindowSnapshot = (usize, Vec<u32>);
 
 /// One worker's private execution state, reused chunk after chunk.
@@ -97,6 +105,11 @@ impl LaneSlot {
             out: OutputSink::new(),
             code_pristine: false,
         }
+    }
+
+    /// The window's dirty prefix: every word past it is still zero.
+    pub(crate) fn snapshot(&self) -> Vec<u32> {
+        self.mem.words()[..self.mem.dirty_words()].to_vec()
     }
 }
 
@@ -201,20 +214,23 @@ pub(crate) fn run_sequential(
         let panicked = matches!(rep.status, LaneStatus::Fault(FaultKind::HostPanic(_)));
         reports.push(rep);
         if !panicked && is_final_occupant(idx, p.lanes_cap, inputs.len()) {
-            finals.push((idx % p.lanes_cap, slot.mem.words().to_vec()));
+            finals.push((idx % p.lanes_cap, slot.snapshot()));
         }
     }
     (reports, finals)
 }
 
-/// Pooled execution: `min(host threads, lanes_cap, chunks)` persistent
-/// workers race down the chunk list via a shared atomic counter. Returns
-/// index-addressed reports (every present entry at position `i` is chunk
-/// `i`'s report) plus the final window snapshots.
+/// Pooled execution: `min(host threads, lanes_cap, chunks)` workers —
+/// the calling thread plus one fewer spawned helpers — race down the
+/// chunk list via a shared atomic counter. The caller claims chunk 0
+/// before spawning anything, so that chunk always runs on the calling
+/// thread. Returns index-addressed reports (every present entry at
+/// position `i` is chunk `i`'s report) plus the final window snapshots.
 ///
 /// A chunk whose body panics yields a [`LaneStatus::Fault`] report and a
-/// rebuilt slot; in the (hypothetical) case of a worker dying outside
-/// the `catch_unwind`, its claimed-but-unreported chunks come back as
+/// rebuilt slot, on the calling thread as on a helper; in the
+/// (hypothetical) case of a worker dying outside the per-chunk
+/// `catch_unwind`, its claimed-but-unreported chunks come back as
 /// `None` and the engine substitutes fault reports — degradation never
 /// becomes a host abort.
 pub(crate) fn run_pooled(
@@ -228,49 +244,50 @@ pub(crate) fn run_pooled(
         .min(p.lanes_cap)
         .min(total)
         .max(1);
-    let next = AtomicUsize::new(0);
+    // Chunk 0 is the caller's; helpers claim from 1 on.
+    let next = AtomicUsize::new(1);
     let mut results: Vec<Option<LaneReport>> = (0..total).map(|_| None).collect();
     let mut finals: Vec<WindowSnapshot> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|_| {
                 let next = &next;
-                scope.spawn(move || worker_loop(p, inputs, next))
+                scope.spawn(move || {
+                    worker_loop(p, inputs, next, next.fetch_add(1, Ordering::Relaxed))
+                })
             })
             .collect();
-        for h in handles {
-            if let Ok((reports, windows)) = h.join() {
-                for (idx, rep) in reports {
-                    results[idx] = Some(rep);
-                }
-                finals.extend(windows);
+        let own = catch_unwind(AssertUnwindSafe(|| worker_loop(p, inputs, &next, 0)));
+        let joined = handles.into_iter().map(|h| h.join());
+        for (reports, windows) in std::iter::once(own).chain(joined).flatten() {
+            for (idx, rep) in reports {
+                results[idx] = Some(rep);
             }
+            finals.extend(windows);
         }
     });
     (results, finals)
 }
 
-/// One worker: claim chunks until the counter runs past the end,
-/// running each under `catch_unwind` so a poisoned chunk cannot take
-/// down the pool.
+/// One worker: run chunk `first`, then claim chunks until the counter
+/// runs past the end, running each under `catch_unwind` so a poisoned
+/// chunk cannot take down the pool.
 fn worker_loop(
     p: &RunParams,
     inputs: &[&[u8]],
     next: &AtomicUsize,
+    first: usize,
 ) -> (Vec<(usize, LaneReport)>, Vec<WindowSnapshot>) {
     let total = inputs.len();
     let mut slot = LaneSlot::new(p.window_words);
     let mut reports = Vec::new();
     let mut finals = Vec::new();
-    loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= total {
-            break;
-        }
+    let mut idx = first;
+    while idx < total {
         let rep = match catch_unwind(AssertUnwindSafe(|| run_chunk(p, &mut slot, inputs[idx]))) {
             Ok(rep) => {
                 if is_final_occupant(idx, p.lanes_cap, total) {
-                    finals.push((idx % p.lanes_cap, slot.mem.words().to_vec()));
+                    finals.push((idx % p.lanes_cap, slot.snapshot()));
                 }
                 rep
             }
@@ -283,6 +300,7 @@ fn worker_loop(
             }
         };
         reports.push((idx, rep));
+        idx = next.fetch_add(1, Ordering::Relaxed);
     }
     (reports, finals)
 }

@@ -379,13 +379,13 @@ fn retry_config(cfg: &LaneConfig) -> LaneConfig {
 
 /// One replay attempt on a fresh slot, panic-safe: an unwinding replay
 /// degrades to a [`FaultKind::HostPanic`] report like any other chunk.
-/// Returns the report plus the slot's final window (for `finals`
-/// bookkeeping when the replay succeeds).
+/// Returns the report plus the slot's final window prefix (for
+/// `finals` bookkeeping when the replay succeeds).
 fn replay_chunk(p: &RunParams, input: &[u8]) -> (LaneReport, Vec<u32>) {
     let mut slot = pool::LaneSlot::new(p.window_words);
     match catch_unwind(AssertUnwindSafe(|| pool::run_chunk(p, &mut slot, input))) {
         Ok(rep) => {
-            let window = slot.mem.words().to_vec();
+            let window = slot.snapshot();
             (rep, window)
         }
         Err(payload) => (

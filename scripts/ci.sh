@@ -16,6 +16,16 @@ cargo build --release
 echo "== cargo test --release =="
 cargo test --workspace --release -q
 
+echo "== perfbench correctness smoke (device-small, 2 s) =="
+# Thousands of small calls on one reused Udp per corpus program, both
+# backends, pooled and sequential: every report must match the CPU
+# references and the first report of its input set, and each program's
+# output digest must match perfbench/digests.txt. Exits nonzero on any
+# mismatch, so the prepared-kernel memo is held to the same outputs as
+# a fresh device. The measured numbers are not gated here.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload device-small --seed 1 --seconds 2 --trace 0
+
 echo "== backend matrix: full suite on the compiled backend (DESIGN.md §2.6.3) =="
 # UDP_SIM_BACKEND=compiled flips every default-constructed run to the
 # tier-2 compiled engine; the whole suite (determinism, supervisor,
