@@ -2,21 +2,18 @@
 //! input, before/after predecoding, with the persistent lane pool, and
 //! on the tier-2 compiled backend.
 //!
-//! Five configurations over the same 64-lane run:
+//! Four configurations over the same 64-lane run:
 //!
-//! * `lazy-seq` — the pre-optimization baseline: one lane after
-//!   another, decoding every transition/action word as it is read
-//!   (`Lane::new`, no shared table).
-//! * `predecoded-seq` — the engine's sequential path: the program is
+//! * `predecoded-seq` — the one-worker lane pool: the program is
 //!   decoded once into a `DecodedProgram` all lanes index, and windows
 //!   reset incrementally between chunks.
-//! * `predecoded-par` — `UdpRunOptions::parallel`: predecoded plus the
-//!   persistent worker pool pulling chunks off a shared counter.
+//! * `predecoded-par` — `UdpRunOptions::parallel`: the same pool with
+//!   one worker per host core pulling chunks off a shared counter.
 //! * `compiled-seq` / `compiled-par` — `ExecBackend::Compiled`
 //!   (DESIGN.md §2.6.3): the program specialized into dense dispatch
 //!   tables at load time, sequential and pooled.
 //!
-//! All five produce bit-identical modeled results (see the
+//! All four produce bit-identical modeled results (see the
 //! `determinism` test and `backend_oracle`); only host wall-clock
 //! differs.
 //!
@@ -39,11 +36,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use udp_asm::{LayoutOptions, ProgramBuilder, ProgramImage};
 use udp_bench::host_rate_mbps;
-use udp_isa::mem::{BANK_WORDS, NUM_BANKS};
+use udp_isa::mem::BANK_WORDS;
 use udp_sim::engine::Staging;
-use udp_sim::{
-    BitStream, ExecBackend, Lane, LaneConfig, LocalMemory, OutputSink, Udp, UdpRunOptions,
-};
+use udp_sim::{ExecBackend, Udp, UdpRunOptions};
 
 /// Assembles into the smallest power-of-two bank window that fits.
 fn assemble(pb: &ProgramBuilder, max_banks: usize) -> ProgramImage {
@@ -54,29 +49,6 @@ fn assemble(pb: &ProgramBuilder, max_banks: usize) -> ProgramImage {
             Err(_) if banks < max_banks => banks *= 2,
             Err(e) => panic!("program does not fit {max_banks} banks: {e}"),
         }
-    }
-}
-
-/// The pre-optimization engine loop: shared device memory, one lane at
-/// a time, decode-on-read (no predecoded table), word-at-a-time window
-/// zeroing, and the bit-at-a-time reference stream/sink routines the
-/// simulator shipped with. Chunks beyond lane capacity wrap onto the
-/// lane origins again, like the engine's waves.
-fn run_lazy_sequential(image: &ProgramImage, inputs: &[&[u8]], banks_per_lane: usize) {
-    let window_words = banks_per_lane * BANK_WORDS;
-    let lanes_cap = (NUM_BANKS / banks_per_lane).max(1);
-    let mut mem = LocalMemory::new();
-    for (i, input) in inputs.iter().enumerate() {
-        let origin = ((i % lanes_cap) * banks_per_lane * BANK_WORDS) as u32;
-        mem.load_words(origin, &image.words);
-        for w in image.stats.span_words..window_words {
-            mem.load_words(origin + w as u32, &[0]);
-        }
-        let mut lane = Lane::new(image, origin);
-        let mut stream = BitStream::reference(input);
-        let mut out = OutputSink::reference();
-        let rep = lane.run(&mut mem, &mut stream, &mut out, &LaneConfig::default());
-        std::hint::black_box(rep.cycles);
     }
 }
 
@@ -92,7 +64,6 @@ struct ScenarioResult {
     name: String,
     chunks: usize,
     bytes: usize,
-    lazy_seq_mbps: f64,
     predecoded_seq_mbps: f64,
     predecoded_par_mbps: f64,
     compiled_seq_mbps: f64,
@@ -130,10 +101,11 @@ fn bench_workload(name: &str, image: &ProgramImage, inputs: &[&[u8]]) -> Scenari
     };
     let run_engine = |opts: &UdpRunOptions| {
         let mut udp = Udp::new();
-        let rep = udp.run_data_parallel(image, inputs, &Staging::default(), opts);
+        let rep = udp
+            .try_run_data_parallel(image, inputs, &Staging::default(), opts)
+            .expect("benchmark kernel fits its lane window");
         std::hint::black_box(rep.wall_cycles);
     };
-    let mut run_lazy = || run_lazy_sequential(image, inputs, banks);
     let mut run_seq = || run_engine(&seq_opts);
     let mut run_par = || run_engine(&par_opts);
     let mut run_cseq = || run_engine(&cseq_opts);
@@ -143,15 +115,13 @@ fn bench_workload(name: &str, image: &ProgramImage, inputs: &[&[u8]]) -> Scenari
     // each one's best: external load (this is a shared host) then hits
     // all of them alike instead of biasing whichever configuration
     // happened to run during a noisy burst.
-    run_lazy();
     run_seq();
     run_par();
     run_cseq();
     run_cpar();
-    let (mut lazy, mut seq, mut par) = (f64::MAX, f64::MAX, f64::MAX);
+    let (mut seq, mut par) = (f64::MAX, f64::MAX);
     let (mut cseq, mut cpar) = (f64::MAX, f64::MAX);
     for _ in 0..reps {
-        lazy = lazy.min(time_once(&mut run_lazy));
         seq = seq.min(time_once(&mut run_seq));
         par = par.min(time_once(&mut run_par));
         cseq = cseq.min(time_once(&mut run_cseq));
@@ -162,7 +132,6 @@ fn bench_workload(name: &str, image: &ProgramImage, inputs: &[&[u8]]) -> Scenari
         name: name.to_string(),
         chunks: inputs.len(),
         bytes,
-        lazy_seq_mbps: host_rate_mbps(bytes, std::time::Duration::from_secs_f64(lazy)),
         predecoded_seq_mbps: host_rate_mbps(bytes, std::time::Duration::from_secs_f64(seq)),
         predecoded_par_mbps: host_rate_mbps(bytes, std::time::Duration::from_secs_f64(par)),
         compiled_seq_mbps: host_rate_mbps(bytes, std::time::Duration::from_secs_f64(cseq)),
@@ -174,15 +143,13 @@ fn bench_workload(name: &str, image: &ProgramImage, inputs: &[&[u8]]) -> Scenari
 fn render_line(r: &ScenarioResult, out: &mut String) {
     let _ = writeln!(
         out,
-        "{:<16} lanes={:<3} input={:>8} B  lazy-seq={:>8.1} MB/s  predecoded-seq={:>8.1} MB/s ({:>4.2}x)  predecoded-par={:>8.1} MB/s ({:>5.2}x)  compiled-seq={:>8.1} MB/s ({:>4.2}x)  compiled-par={:>8.1} MB/s ({:>5.2}x)",
+        "{:<16} lanes={:<3} input={:>8} B  predecoded-seq={:>8.1} MB/s  predecoded-par={:>8.1} MB/s ({:>5.2}x)  compiled-seq={:>8.1} MB/s ({:>4.2}x)  compiled-par={:>8.1} MB/s ({:>5.2}x)",
         r.name,
         r.chunks,
         r.bytes,
-        r.lazy_seq_mbps,
         r.predecoded_seq_mbps,
-        r.predecoded_seq_mbps / r.lazy_seq_mbps,
         r.predecoded_par_mbps,
-        r.predecoded_par_mbps / r.lazy_seq_mbps,
+        r.predecoded_par_mbps / r.predecoded_seq_mbps,
         r.compiled_seq_mbps,
         r.compiled_seq_mbps / r.predecoded_seq_mbps,
         r.compiled_par_mbps,
@@ -204,8 +171,8 @@ fn render_json(results: &[ScenarioResult]) -> String {
         };
         let _ = writeln!(
             s,
-            "{{\"name\":\"{}\",\"chunks\":{},\"bytes\":{},\"lazy_seq_mbps\":{:.2},\"predecoded_seq_mbps\":{:.2},\"predecoded_par_mbps\":{:.2},\"compiled_seq_mbps\":{:.2},\"compiled_par_mbps\":{:.2},\"compiled_declined\":{declined}}}",
-            r.name, r.chunks, r.bytes, r.lazy_seq_mbps, r.predecoded_seq_mbps, r.predecoded_par_mbps, r.compiled_seq_mbps, r.compiled_par_mbps,
+            "{{\"name\":\"{}\",\"chunks\":{},\"bytes\":{},\"predecoded_seq_mbps\":{:.2},\"predecoded_par_mbps\":{:.2},\"compiled_seq_mbps\":{:.2},\"compiled_par_mbps\":{:.2},\"compiled_declined\":{declined}}}",
+            r.name, r.chunks, r.bytes, r.predecoded_seq_mbps, r.predecoded_par_mbps, r.compiled_seq_mbps, r.compiled_par_mbps,
         );
     }
     s

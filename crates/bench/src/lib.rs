@@ -22,10 +22,9 @@
 //! simulation throughput (how fast the simulator itself chews input,
 //! as opposed to the modeled device rates above).
 //!
-//! Setting `UDP_PARALLEL=1` makes every kernel runner execute each
-//! wave's lanes on host threads (`UdpRunOptions::parallel`); modeled
-//! cycles/energy/conflict numbers are bit-identical, only host
-//! wall-clock changes.
+//! Every kernel runner executes its lanes on the host worker pool
+//! (`UdpRunOptions::parallel`); modeled cycles/energy/conflict numbers
+//! are the same as a one-worker run's, only host wall-clock differs.
 //!
 //! Methodology (paper §4.4): CPU rates are wall-clock single-thread on
 //! the host; the 8-thread figure is the paper's own optimistic 8×
@@ -37,8 +36,6 @@
 
 use std::time::{Duration, Instant};
 use udp::kernels::UdpKernelReport;
-
-pub use udp::kernels::parallel_from_env;
 
 /// CPU threads assumed for device-level comparisons (§4.4).
 pub const CPU_THREADS: f64 = 8.0;

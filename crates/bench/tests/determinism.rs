@@ -39,9 +39,13 @@ fn assert_bit_identical(
         ..seq_opts.clone()
     };
     let mut seq_udp = Udp::new();
-    let seq = seq_udp.run_data_parallel(image, inputs, staging, &seq_opts);
+    let seq = seq_udp
+        .try_run_data_parallel(image, inputs, staging, &seq_opts)
+        .expect("valid run");
     let mut par_udp = Udp::new();
-    let par = par_udp.run_data_parallel(image, inputs, staging, &par_opts);
+    let par = par_udp
+        .try_run_data_parallel(image, inputs, staging, &par_opts)
+        .expect("valid run");
 
     assert_eq!(seq, par, "parallel report diverged from sequential");
 

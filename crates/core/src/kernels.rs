@@ -44,16 +44,6 @@ impl UdpKernelReport {
     }
 }
 
-/// Reads the `UDP_PARALLEL` environment knob: set to anything other
-/// than `0`/`false` to execute each wave's lanes on host threads. The
-/// modeled results are bit-identical either way (see
-/// `UdpRunOptions::parallel`); the knob only changes host wall-clock.
-pub fn parallel_from_env() -> bool {
-    std::env::var("UDP_PARALLEL")
-        .map(|v| v != "0" && !v.eq_ignore_ascii_case("false"))
-        .unwrap_or(false)
-}
-
 /// Banks needed to cover both code and the staged data segments.
 fn banks_for(image: &ProgramImage, staging: &Staging) -> usize {
     let code = image.stats.span_words.div_ceil(BANK_WORDS);
@@ -79,16 +69,18 @@ fn run_duplicated(
     let lanes = (64 / banks).max(1);
     let mut udp = Udp::new();
     let inputs: Vec<&[u8]> = vec![input; lanes];
-    let rep = udp.run_data_parallel(
-        image,
-        &inputs,
-        staging,
-        &UdpRunOptions {
-            banks_per_lane: banks,
-            parallel: parallel_from_env(),
-            ..Default::default()
-        },
-    );
+    let rep = udp
+        .try_run_data_parallel(
+            image,
+            &inputs,
+            staging,
+            &UdpRunOptions {
+                banks_per_lane: banks,
+                parallel: true,
+                ..Default::default()
+            },
+        )
+        .expect("kernel fits its lane window");
     let lane0 = &rep.lanes[0];
     let kr = UdpKernelReport {
         name: name.to_string(),
@@ -364,16 +356,18 @@ pub mod dict {
         let mut udp = Udp::new();
         let lanes = 64 / banks;
         let inputs: Vec<&[u8]> = vec![&input; lanes];
-        let rep = udp.run_data_parallel(
-            &img,
-            &inputs,
-            &staging_of(&stg),
-            &UdpRunOptions {
-                banks_per_lane: banks,
-                parallel: parallel_from_env(),
-                ..Default::default()
-            },
-        );
+        let rep = udp
+            .try_run_data_parallel(
+                &img,
+                &inputs,
+                &staging_of(&stg),
+                &UdpRunOptions {
+                    banks_per_lane: banks,
+                    parallel: true,
+                    ..Default::default()
+                },
+            )
+            .expect("kernel fits its lane window");
         // Reconstruct lane 0's runs (trailing run lives in lane memory).
         let flat = decode_codes(&rep.lanes[0].output);
         let mut runs: Vec<Run<u32>> = flat

@@ -712,9 +712,10 @@ mod tests {
 
     #[test]
     fn run_case_catches_escaped_panics() {
-        // A chaos panic on the *sequential* path escapes try_run's
-        // thread recovery; run it via Lane directly to prove run_case
-        // converts an unwound panic into Outcome::Panicked.
+        // Device runs degrade chaos panics to `HostPanic` reports, but
+        // a bare `Lane::run_program` has no recovery: run one directly
+        // to prove run_case converts an unwound panic into
+        // Outcome::Panicked.
         let case = crate::FaultPlan::new(1).case(0);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));

@@ -183,13 +183,9 @@ struct KernelSpec {
     fallback: Option<Arc<dyn ReferenceFallback>>,
 }
 
-/// Prepares a store artifact's kernel, sharing its image and predecoded
-/// table by `Arc`.
+/// Prepares a store artifact's kernel, sharing its image by `Arc`.
 fn prepare_artifact(artifact: &udp_store::Artifact) -> Arc<PreparedKernel> {
-    Arc::new(PreparedKernel::with_decoded(
-        Arc::clone(&artifact.image),
-        &artifact.decoded,
-    ))
+    Arc::new(PreparedKernel::new(Arc::clone(&artifact.image)))
 }
 
 struct TenantState {
@@ -470,7 +466,7 @@ impl ServeHandle {
     /// (`udp_store::Artifact`). The store already integrity-checked and
     /// re-validated the image — certificate included — at load, so
     /// registration skips the redundant re-verification and shares the
-    /// artifact's image and predecoded table by `Arc` (no copies).
+    /// artifact's image by `Arc` (no copy) and predecodes it once.
     ///
     /// Unlike [`ServeHandle::register_kernel`], this registration is
     /// journaled (source + layout + fallback tag), so on a

@@ -15,6 +15,7 @@ use crate::error::FaultKind;
 use crate::lane::{cap_status, CodeTables, Lane, LaneConfig, LaneReport, LaneStatus};
 use crate::memory::LocalMemory;
 use crate::stream::{BitStream, OutputSink};
+use std::sync::Arc;
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_isa::transition::{ExecKind, TransitionWord};
 
@@ -45,7 +46,7 @@ pub(crate) fn run_compiled(
     // tracking off, tables assume the verbatim image at origin 0 and
     // the compile-time window base. All hold on the pooled local-
     // addressing path; anything else just interprets.
-    let dp = lane.decoded.clone();
+    let dp = Arc::clone(&lane.decoded);
     if !mem.tracks_banks()
         && lane.code_clean
         && lane.origin == 0
@@ -53,10 +54,7 @@ pub(crate) fn run_compiled(
         && lane.status == LaneStatus::Running
     {
         if let Some(start) = cp.lookup(lane.base, lane.kind) {
-            let tables = dp.as_deref().map_or(CodeTables::EMPTY, |d| CodeTables {
-                transitions: d.transitions(),
-                actions: d.actions(),
-            });
+            let tables = CodeTables::of(&dp);
             Ctx {
                 cp,
                 lane,

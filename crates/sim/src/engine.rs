@@ -128,14 +128,16 @@ pub struct UdpRunOptions {
     pub banks_per_lane: usize,
     /// Per-lane cycle cap.
     pub lane: LaneConfig,
-    /// Execute chunks on a persistent pool of host worker threads
-    /// instead of one after another. Only a host-side speed knob:
+    /// Run the lane pool with one worker per host core (capped by the
+    /// lane and chunk counts) instead of one worker — the calling
+    /// thread, which then spawns nothing. Only a host-side speed knob:
     /// modeled time is recomputed from the per-lane reports with the
     /// wave formula (DESIGN.md §2.6.2), so cycles, stalls, references,
-    /// and outputs are bit-identical to the sequential path. Honored
-    /// under [`AddressingMode::Local`] (disjoint lane windows); sharing
-    /// modes fall back to sequential execution because their lanes may
-    /// genuinely communicate through memory.
+    /// outputs, and the degradation of panicking chunks are
+    /// bit-identical either way. Honored under
+    /// [`AddressingMode::Local`] (disjoint lane windows); sharing modes
+    /// run their lanes one after another on the device memory, because
+    /// those lanes may genuinely communicate through it.
     pub parallel: bool,
     /// Run `udp-verify`'s static checks over the image before loading
     /// it; a report with errors aborts the run as [`SimError::Verify`].
@@ -170,8 +172,7 @@ impl Default for UdpRunOptions {
 /// Aggregate results of a device run.
 ///
 /// Compares equal field-by-field, which is how the determinism tests
-/// check that the parallel wave path reproduces the sequential model
-/// bit-for-bit.
+/// check that a pooled run reproduces a one-worker run bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpRunReport {
     /// Per-lane reports, one per input chunk actually executed.
@@ -252,35 +253,13 @@ impl Udp {
         NUM_BANKS / banks_per_lane.max(1)
     }
 
-    /// Runs `image` data-parallel over `inputs`, one chunk per lane, with
-    /// optional per-lane staging. Chunks beyond lane capacity are executed
-    /// in additional waves (wall cycles accumulate).
-    ///
-    /// Thin wrapper over [`Udp::try_run_data_parallel`] for callers whose
-    /// programs are known to fit (compiled kernels, benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`] — an oversized program, a bad bank
-    /// split, or a non-executable image. Use
-    /// [`Udp::try_run_data_parallel`] to handle those as values.
-    pub fn run_data_parallel(
-        &mut self,
-        image: &ProgramImage,
-        inputs: &[&[u8]],
-        staging: &Staging,
-        opts: &UdpRunOptions,
-    ) -> UdpRunReport {
-        self.try_run_data_parallel(image, inputs, staging, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Udp::run_data_parallel`]: pre-flight
-    /// misconfiguration comes back as a [`SimError`] instead of a
-    /// panic, and a chunk whose execution panics (under
-    /// [`UdpRunOptions::parallel`]) degrades to
-    /// [`LaneStatus::Fault`] in its own report while the sibling
-    /// chunks' reports survive.
+    /// Runs `image` data-parallel over `inputs`, one chunk per lane,
+    /// with optional per-lane staging; chunks beyond lane capacity
+    /// execute in further waves (wall cycles accumulate). Pre-flight
+    /// misconfiguration — an oversized program, a bad bank split, a
+    /// non-executable image — comes back as a [`SimError`], and a chunk
+    /// whose execution panics degrades to [`LaneStatus::Fault`] in its
+    /// own report while the sibling chunks' reports survive.
     ///
     /// [`Udp::run`] over a memoized [`PreparedKernel`]: the device keeps
     /// the kernel it prepared last and reuses it while `image` compares
@@ -298,13 +277,13 @@ impl Udp {
     }
 
     /// [`Udp::try_run_data_parallel`] with a caller-provided predecoded
-    /// table, for callers that already hold one (the artifact store's
-    /// artifacts). The table is only consulted when the memo misses:
-    /// it is shared if its raw words are exactly `image.words` and
-    /// replaced by a fresh predecode otherwise, so a table of another
-    /// image — even one of the same length — can never run in this
-    /// image's place. Callers that own the kernel should build a
-    /// [`PreparedKernel`] and call [`Udp::run`] instead.
+    /// table, for callers that already hold one. The table is only
+    /// consulted when the memo misses: it is shared if its raw words
+    /// are exactly `image.words` and replaced by a fresh predecode
+    /// otherwise, so a table of another image — even one of the same
+    /// length — can never run in this image's place. Callers that own
+    /// the kernel should build a [`PreparedKernel`] and call
+    /// [`Udp::run`] instead.
     pub fn try_run_data_parallel_shared(
         &mut self,
         image: &ProgramImage,
@@ -342,14 +321,14 @@ impl Udp {
     /// per lane, with optional per-lane staging; chunks beyond lane
     /// capacity execute in further waves (wall cycles accumulate).
     ///
-    /// Under local addressing the run goes through the lane pool
+    /// Under local addressing every chunk goes through the lane pool
     /// (`pool` module): private window memories with incremental
-    /// dirty-prefix resets, and — with [`UdpRunOptions::parallel`]
-    /// set — dynamic chunk scheduling over worker threads, the calling
-    /// thread among them. Modeled time is recomputed from the per-lane
-    /// reports with the wave formula, keeping the report bit-identical
-    /// to sequential runs. The compiled backend lowers the kernel on
-    /// its first compiled run and reuses those tables afterwards.
+    /// dirty-prefix resets and dynamic chunk scheduling, on the calling
+    /// thread alone or — with [`UdpRunOptions::parallel`] set — on
+    /// helper threads too. Modeled time is recomputed from the per-lane
+    /// reports with the wave formula, so the report does not depend on
+    /// the worker count. The compiled backend lowers the kernel on its
+    /// first compiled run and reuses those tables afterwards.
     pub fn run(
         &mut self,
         kernel: &PreparedKernel,
@@ -389,8 +368,7 @@ impl Udp {
         // under a budget derived from the certified worst case instead
         // of the generic constants. Host register staging invalidates
         // the certificate's reset-state premise, so it disables the
-        // derivation; both execution paths below share the one config
-        // so sequential and pooled runs stay bit-identical.
+        // derivation.
         let lane_cfg = match &image.cert {
             Some(cert) if staging.regs.is_empty() => opts.lane.with_cert(cert),
             _ => opts.lane.clone(),
@@ -401,12 +379,11 @@ impl Udp {
         self.mem.set_bank_tracking(opts.addressing.allows_sharing());
         // Local addressing means provably disjoint windows, so every
         // lane can execute against a private window-sized memory and be
-        // copied back — sequentially this keeps one hot window-sized
-        // buffer in cache instead of striding the full 1 MB device
-        // memory; with `parallel` it is what makes the worker pool
-        // safe. Sharing modes stay on the shared device memory: their
-        // lanes may genuinely communicate, and the conflict model needs
-        // the merged per-bank reference counts.
+        // copied back — one worker keeps one hot window-sized buffer in
+        // cache instead of striding the full 1 MB device memory, and
+        // several can run at once. Sharing modes stay on the shared
+        // device memory: their lanes may genuinely communicate, and the
+        // conflict model needs the merged per-bank reference counts.
         if opts.addressing == AddressingMode::Local {
             // A compile decline (oversized state space, wide symbols,
             // nothing to fuse) silently falls back to the interpreter —
@@ -424,31 +401,9 @@ impl Udp {
                 cfg: &lane_cfg,
                 window_words,
                 lanes_cap,
-                code_clean: staging_clears_code(staging, image.stats.span_words),
                 compiled,
             };
-            let (mut lane_reports, mut finals) = if opts.parallel && inputs.len() > 1 {
-                let (results, finals) = pool::run_pooled(&params, inputs);
-                // Chunks whose worker died before reporting (a panic
-                // escaping the per-chunk catch_unwind) degrade to Fault
-                // reports; everything else is index-addressed.
-                let reports = results
-                    .into_iter()
-                    .map(|r| {
-                        r.unwrap_or_else(|| {
-                            pool::fault_lane_report(
-                                "worker terminated before reporting".to_string(),
-                            )
-                        })
-                    })
-                    .collect();
-                (reports, finals)
-            } else {
-                // With a supervisor attached, the sequential path also
-                // catches per-chunk panics so both paths feed the
-                // supervisor the same fault stream.
-                pool::run_sequential(&params, inputs, opts.supervise.is_some())
-            };
+            let (mut lane_reports, mut finals) = pool::run(&params, inputs, opts.parallel);
             let health = match &opts.supervise {
                 Some(sup) => {
                     supervisor::supervise(&params, inputs, &mut lane_reports, &mut finals, sup)
@@ -485,16 +440,7 @@ impl Udp {
                 for (off, bytes) in &staging.segments {
                     self.mem.load_bytes(origin * 4 + off, bytes);
                 }
-                let mut lane = Lane::with_decoded(image, origin, Arc::clone(decoded));
-                // The window was loaded fresh just above, so unless a
-                // staging segment overwrote code words the lane may
-                // serve fetches from the predecoded table directly.
-                if staging_clears_code(staging, image.stats.span_words) {
-                    lane.mark_code_clean();
-                }
-                for (r, v) in &staging.regs {
-                    lane.preset_reg(*r, *v);
-                }
+                let mut lane = Lane::staged(image, decoded, origin, staging);
                 let mut stream = BitStream::new(input);
                 let mut out = OutputSink::with_capacity(input.len());
                 let before = self.mem.refs();
@@ -614,16 +560,6 @@ impl Default for Udp {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// True when no staging segment lands inside the code span, i.e. the
-/// freshly loaded window still matches the predecoded image and the
-/// lane may take the pristine-code fetch fast path.
-pub(crate) fn staging_clears_code(staging: &Staging, span_words: usize) -> bool {
-    staging
-        .segments
-        .iter()
-        .all(|(off, bytes)| bytes.is_empty() || *off as usize >= span_words * 4)
 }
 
 /// Excess references to over-subscribed banks beyond an even split —
@@ -918,12 +854,14 @@ mod tests {
         let img = scanner();
         let mut udp = Udp::new();
         let inputs: Vec<&[u8]> = vec![b"aa", b"ba", b"bb"];
-        let rep = udp.run_data_parallel(
-            &img,
-            &inputs,
-            &Staging::default(),
-            &UdpRunOptions::default(),
-        );
+        let rep = udp
+            .try_run_data_parallel(
+                &img,
+                &inputs,
+                &Staging::default(),
+                &UdpRunOptions::default(),
+            )
+            .expect("valid run");
         assert_eq!(rep.lanes.len(), 3);
         assert_eq!(
             rep.concat_output(),
@@ -971,12 +909,14 @@ mod tests {
         let mut udp = Udp::new();
         let chunk: &[u8] = b"aaaa";
         let inputs: Vec<&[u8]> = vec![chunk; 70]; // > 64 lanes
-        let rep = udp.run_data_parallel(
-            &img,
-            &inputs,
-            &Staging::default(),
-            &UdpRunOptions::default(),
-        );
+        let rep = udp
+            .try_run_data_parallel(
+                &img,
+                &inputs,
+                &Staging::default(),
+                &UdpRunOptions::default(),
+            )
+            .expect("valid run");
         assert_eq!(rep.lanes.len(), 70);
         // Two waves: wall = 2 × single-chunk cycles.
         let one = rep.lanes[0].cycles;
@@ -1147,7 +1087,9 @@ mod tests {
             regs: vec![],
         };
         let inputs: Vec<&[u8]> = vec![b".", b"."];
-        let rep = udp.run_data_parallel(&img, &inputs, &staging, &UdpRunOptions::default());
+        let rep = udp
+            .try_run_data_parallel(&img, &inputs, &staging, &UdpRunOptions::default())
+            .expect("valid run");
         assert_eq!(rep.concat_output(), b"SS");
     }
 
@@ -1166,25 +1108,29 @@ mod tests {
         let img = b.assemble(&LayoutOptions::default()).unwrap();
         let mut udp = Udp::new();
         let inputs: Vec<&[u8]> = vec![b"xxxxxxxx"; 4];
-        let local = udp.run_data_parallel(
-            &img,
-            &inputs,
-            &Staging::default(),
-            &UdpRunOptions::default(),
-        );
+        let local = udp
+            .try_run_data_parallel(
+                &img,
+                &inputs,
+                &Staging::default(),
+                &UdpRunOptions::default(),
+            )
+            .expect("valid run");
         assert_eq!(local.conflict_stalls, 0, "local windows are disjoint");
         // Under restricted addressing the model can charge stalls for
         // genuinely shared banks; with disjoint windows it stays zero.
         let mut udp = Udp::new();
-        let restricted = udp.run_data_parallel(
-            &img,
-            &inputs,
-            &Staging::default(),
-            &UdpRunOptions {
-                addressing: udp_isa::mem::AddressingMode::Restricted,
-                ..Default::default()
-            },
-        );
+        let restricted = udp
+            .try_run_data_parallel(
+                &img,
+                &inputs,
+                &Staging::default(),
+                &UdpRunOptions {
+                    addressing: udp_isa::mem::AddressingMode::Restricted,
+                    ..Default::default()
+                },
+            )
+            .expect("valid run");
         assert_eq!(restricted.lanes.len(), 4);
         assert!(restricted.wall_cycles >= local.wall_cycles);
     }
@@ -1194,12 +1140,14 @@ mod tests {
         let img = scanner();
         let mut udp = Udp::new();
         let inputs: Vec<&[u8]> = vec![b"aaaaaaaaaaaaaaaa"; 8];
-        let rep = udp.run_data_parallel(
-            &img,
-            &inputs,
-            &Staging::default(),
-            &UdpRunOptions::default(),
-        );
+        let rep = udp
+            .try_run_data_parallel(
+                &img,
+                &inputs,
+                &Staging::default(),
+                &UdpRunOptions::default(),
+            )
+            .expect("valid run");
         let lane_rate = rep.lanes[0].rate_mbps(1.0);
         let tput = rep.throughput_mbps(1.0);
         assert!(

@@ -1,6 +1,7 @@
 //! The UDP lane interpreter: dispatch unit + stream-prefetch unit +
 //! action unit (paper Figure 23), cycle-accurately.
 
+use crate::engine::Staging;
 use crate::error::FaultKind;
 use crate::memory::LocalMemory;
 use crate::stream::{BitStream, OutputSink};
@@ -115,14 +116,14 @@ pub(crate) struct CodeTables<'a> {
     pub(crate) actions: &'a [(Word, Option<Action>)],
 }
 
-impl CodeTables<'static> {
-    /// The no-table table: every lookup misses, so fetches take the
-    /// plain memory path. Saves an `Option` discriminant check on the
-    /// hot path.
-    pub(crate) const EMPTY: CodeTables<'static> = CodeTables {
-        transitions: &[],
-        actions: &[],
-    };
+impl<'a> CodeTables<'a> {
+    /// Both views of `dp`.
+    pub(crate) fn of(dp: &'a DecodedProgram) -> Self {
+        CodeTables {
+            transitions: dp.transitions(),
+            actions: dp.actions(),
+        }
+    }
 }
 
 /// Per-run lane configuration.
@@ -337,11 +338,13 @@ pub struct Lane {
     pub(crate) fallback_misses: u64,
     pub(crate) actions_run: u64,
     extra_refs: u64,
-    /// Predecoded view of the loaded image, window-relative. Lookups
-    /// are validated against the raw memory word, so self-modifying
-    /// programs (restricted/global addressing writes into code) fall
-    /// back to decode-on-read with identical semantics.
-    pub(crate) decoded: Option<Arc<DecodedProgram>>,
+    /// Predecoded view of the loaded image, window-relative — empty
+    /// for the lazy reference lane ([`Lane::new`]). Lookups are
+    /// validated against the raw memory word and a miss decodes the
+    /// word read from memory, so self-modifying programs
+    /// (restricted/global addressing writes into code) and the lazy
+    /// lane keep decode-on-read semantics.
+    pub(crate) decoded: Arc<DecodedProgram>,
     /// True while the code span at `origin` is known to hold the
     /// pristine image (set by [`Lane::mark_code_clean`], cleared on any
     /// lane write into the span). While clean, code fetches come
@@ -354,8 +357,26 @@ pub struct Lane {
 
 impl Lane {
     /// Creates a lane positioned at a program image loaded at
-    /// `origin_words`, decoding words lazily as they are fetched.
+    /// `origin_words`, decoding words lazily as they are fetched: its
+    /// table is empty, so every lookup misses. The reference the
+    /// predecoded lanes are tested against.
     pub fn new(image: &ProgramImage, origin_words: u32) -> Self {
+        Self::with_decoded(
+            image,
+            origin_words,
+            Arc::new(DecodedProgram::from_words(&[])),
+        )
+    }
+
+    /// Like [`Lane::new`], but executing out of a shared predecoded
+    /// table (decode-once / execute-many). The table must come from
+    /// the same `image`; simulated cycles, references, and outputs are
+    /// bit-identical to the lazy-decoding lane.
+    pub fn with_decoded(
+        image: &ProgramImage,
+        origin_words: u32,
+        decoded: Arc<DecodedProgram>,
+    ) -> Self {
         assert!(image.executable, "size-model-only image cannot run");
         Lane {
             regs: [0; 16],
@@ -374,23 +395,35 @@ impl Lane {
             fallback_misses: 0,
             actions_run: 0,
             extra_refs: 0,
-            decoded: None,
+            decoded,
             code_clean: false,
             code_len: image.stats.span_words as u32,
         }
     }
 
-    /// Like [`Lane::new`], but executing out of a shared predecoded
-    /// table (decode-once / execute-many). The table must come from
-    /// the same `image`; simulated cycles, references, and outputs are
-    /// bit-identical to the lazy-decoding lane.
-    pub fn with_decoded(
+    /// The lane every device run starts a chunk with: `image` loaded at
+    /// `origin_words` (the caller has written it and `staging`'s
+    /// segments into memory), fetching from `decoded`, with the
+    /// pristine-code fast path on unless a staging segment overwrote
+    /// code words, and `staging`'s registers preset.
+    pub(crate) fn staged(
         image: &ProgramImage,
+        decoded: &Arc<DecodedProgram>,
         origin_words: u32,
-        decoded: Arc<DecodedProgram>,
+        staging: &Staging,
     ) -> Self {
-        let mut lane = Self::new(image, origin_words);
-        lane.decoded = Some(decoded);
+        let mut lane = Self::with_decoded(image, origin_words, Arc::clone(decoded));
+        let code_bytes = image.stats.span_words * 4;
+        if staging
+            .segments
+            .iter()
+            .all(|(off, bytes)| bytes.is_empty() || *off as usize >= code_bytes)
+        {
+            lane.mark_code_clean();
+        }
+        for (r, v) in &staging.regs {
+            lane.preset_reg(*r, *v);
+        }
         lane
     }
 
@@ -398,29 +431,17 @@ impl Lane {
     /// word is `raw`: predecoded table when valid, decode otherwise.
     #[inline]
     fn transition_at(&self, addr: u32, raw: u32) -> TransitionWord {
-        if let Some(dp) = &self.decoded {
-            if let Some(t) = addr
-                .checked_sub(self.origin)
-                .and_then(|off| dp.transition(off as usize, raw))
-            {
-                return t;
-            }
-        }
-        TransitionWord::decode(raw)
+        addr.checked_sub(self.origin)
+            .and_then(|off| self.decoded.transition(off as usize, raw))
+            .unwrap_or_else(|| TransitionWord::decode(raw))
     }
 
     /// Action-view twin of [`Lane::transition_at`].
     #[inline]
     fn action_at(&self, addr: u32, raw: u32) -> Option<Action> {
-        if let Some(dp) = &self.decoded {
-            if let Some(a) = addr
-                .checked_sub(self.origin)
-                .and_then(|off| dp.action(off as usize, raw))
-            {
-                return a;
-            }
-        }
-        Action::decode(raw)
+        addr.checked_sub(self.origin)
+            .and_then(|off| self.decoded.action(off as usize, raw))
+            .unwrap_or_else(|| Action::decode(raw))
     }
 
     /// Declares that the memory this lane will run against holds the
@@ -431,11 +452,10 @@ impl Lane {
     /// raw-word validation. The lane clears the flag itself the moment
     /// it writes into its own code span, so self-modifying programs
     /// keep decode-on-read semantics. Cycle, reference, and conflict
-    /// numbers are identical either way.
+    /// numbers are identical either way. (A lane with an empty table,
+    /// [`Lane::new`], still reads and decodes every word.)
     pub fn mark_code_clean(&mut self) {
-        if self.decoded.is_some() {
-            self.code_clean = true;
-        }
+        self.code_clean = true;
     }
 
     /// Whether the pristine-code fast path survived the run: true only
@@ -505,7 +525,7 @@ impl Lane {
     /// Convenience: allocate a memory just big enough, load the image at
     /// origin 0, and run the lane over `input`.
     pub fn run_program(image: &ProgramImage, input: &[u8], cfg: &LaneConfig) -> LaneReport {
-        Self::run_program_capture(image, input, &crate::engine::Staging::default(), cfg).0
+        Self::run_program_capture(image, input, &Staging::default(), cfg).0
     }
 
     /// Like [`Lane::run_program`], but stages data segments/registers
@@ -513,7 +533,7 @@ impl Lane {
     pub fn run_program_capture(
         image: &ProgramImage,
         input: &[u8],
-        staging: &crate::engine::Staging,
+        staging: &Staging,
         cfg: &LaneConfig,
     ) -> (LaneReport, LocalMemory) {
         // Leave generous data headroom above the code for program scratch.
@@ -523,13 +543,7 @@ impl Lane {
         for (off, bytes) in &staging.segments {
             mem.load_bytes(*off, bytes);
         }
-        let mut lane = Lane::with_decoded(image, 0, Arc::new(image.predecode()));
-        if crate::engine::staging_clears_code(staging, image.stats.span_words) {
-            lane.mark_code_clean();
-        }
-        for (r, v) in &staging.regs {
-            lane.preset_reg(*r, *v);
-        }
+        let mut lane = Lane::staged(image, &Arc::new(image.predecode()), 0, staging);
         let mut stream = BitStream::new(input);
         let mut out = OutputSink::new();
         let rep = lane.run(&mut mem, &mut stream, &mut out, cfg);
@@ -546,11 +560,8 @@ impl Lane {
     ) -> LaneReport {
         // Hoist the predecoded tables out of the `Arc` into plain
         // slice locals for the whole run (see `CodeTables`).
-        let dp = self.decoded.clone();
-        let tables = dp.as_deref().map_or(CodeTables::EMPTY, |d| CodeTables {
-            transitions: d.transitions(),
-            actions: d.actions(),
-        });
+        let dp = Arc::clone(&self.decoded);
+        let tables = CodeTables::of(&dp);
         // The chaos hooks share the cycle-cap compare: `cap` is the
         // nearest of the limits, and which one fired is only sorted
         // out on the (cold) exit path. The budget itself is derived

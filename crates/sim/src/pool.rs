@@ -1,16 +1,13 @@
-//! Persistent lane-pool execution of data-parallel runs.
+//! The lane pool: the one way a local-addressing run executes its
+//! chunks (DESIGN.md §2.6.1).
 //!
-//! PR 1's parallel path spawned and joined a fresh host thread per lane
-//! per wave and reinitialized the whole window memory per chunk, which
-//! dominates host time on many-small-chunk runs (the shape of every ETL
-//! workload). This module replaces it with a persistent worker pool:
-//!
-//! * workers are created **once per run** and pull chunk indices from a
-//!   shared atomic counter — dynamic scheduling with no host-side wave
+//! * [`run`] starts `w` workers that pull chunk indices from a shared
+//!   atomic counter — dynamic scheduling with no host-side wave
 //!   barrier, so a fast lane immediately takes the next chunk. The
 //!   calling thread is one of the workers: it claims chunk 0 before
 //!   any helper thread exists, so a run of `w` workers spawns `w - 1`
-//!   threads;
+//!   threads. A sequential run is the one-worker pool: the caller runs
+//!   every chunk and nothing is spawned;
 //! * each worker owns a [`LaneSlot`] — a private window-sized
 //!   [`LocalMemory`] and a reusable [`OutputSink`] — reused across all
 //!   the chunks it claims;
@@ -22,7 +19,7 @@
 //!   the verbatim image);
 //! * every chunk body runs under `catch_unwind`, so a panicking lane
 //!   degrades to [`LaneStatus::Fault`] in its own report while sibling
-//!   chunks survive — same contract as the per-wave threads had;
+//!   chunks survive, with one worker as with many;
 //! * reports land in an index-addressed results vector, so the merged
 //!   output is deterministic regardless of which worker ran which chunk;
 //! * the final occupant of each device lane slot hands back only its
@@ -32,9 +29,8 @@
 //!
 //! Host scheduling is decoupled from modeled time: the engine recomputes
 //! `wall_cycles` from the per-lane reports with the wave formula
-//! (DESIGN.md §2.6.2), so the [`crate::engine::UdpRunReport`] stays
-//! bit-identical to the sequential path no matter how chunks were
-//! interleaved on the host.
+//! (DESIGN.md §2.6.2), so the [`crate::engine::UdpRunReport`] is
+//! bit-identical whatever the worker count and interleaving.
 
 use crate::engine::Staging;
 use crate::error::FaultKind;
@@ -44,7 +40,7 @@ use crate::stream::{BitStream, OutputSink};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use udp_asm::{DecodedProgram, ProgramImage};
 
 /// Everything shared by every chunk of one data-parallel run.
@@ -63,10 +59,6 @@ pub(crate) struct RunParams<'a> {
     /// banks_per_lane`); chunk `i` occupies device lane slot
     /// `i % lanes_cap`.
     pub lanes_cap: usize,
-    /// Precomputed [`crate::engine::staging_clears_code`]: no staging
-    /// segment overlaps the code span, so lanes may take the
-    /// pristine-code fetch fast path.
-    pub code_clean: bool,
     /// Tier-2 specialization of the program, shared by every chunk when
     /// the run selected [`crate::engine::ExecBackend::Compiled`] and
     /// the program was specializable; `None` runs the interpreter.
@@ -76,8 +68,8 @@ pub(crate) struct RunParams<'a> {
 /// A final window snapshot: `(device lane slot, dirty window prefix)`
 /// for the last chunk that occupied that slot — every window word past
 /// the prefix is zero. The engine copies these into the shared device
-/// memory so `read_lane_bytes` sees the same post-run state as a fully
-/// sequential run.
+/// memory so `read_lane_bytes` sees the same post-run state as running
+/// every lane on the device memory.
 pub(crate) type WindowSnapshot = (usize, Vec<u32>);
 
 /// One worker's private execution state, reused chunk after chunk.
@@ -115,9 +107,7 @@ impl LaneSlot {
 
 /// Restores a slot's memory to "freshly zeroed + image + staging":
 /// clears the dirty tail above the code span, reloads the code prefix
-/// and staging segments over the rest, and zeroes the counters. Both
-/// execution paths share this helper so their reset semantics cannot
-/// diverge.
+/// and staging segments over the rest, and zeroes the counters.
 fn reset_window(p: &RunParams, mem: &mut LocalMemory, code_pristine: bool) {
     let code_words = p.image.words.len();
     let dirty = mem.dirty_words();
@@ -148,13 +138,7 @@ fn reset_window(p: &RunParams, mem: &mut LocalMemory, code_pristine: bool) {
 pub(crate) fn run_chunk(p: &RunParams, slot: &mut LaneSlot, input: &[u8]) -> LaneReport {
     reset_window(p, &mut slot.mem, slot.code_pristine);
     slot.out.reserve(input.len());
-    let mut lane = Lane::with_decoded(p.image, 0, Arc::clone(p.decoded));
-    if p.code_clean {
-        lane.mark_code_clean();
-    }
-    for (r, v) in &p.staging.regs {
-        lane.preset_reg(*r, *v);
-    }
+    let mut lane = Lane::staged(p.image, p.decoded, 0, p.staging);
     let mut stream = BitStream::new(input);
     let rep = match p.compiled {
         Some(cp) => crate::compiled::run_compiled(
@@ -178,72 +162,42 @@ pub(crate) fn run_chunk(p: &RunParams, slot: &mut LaneSlot, input: &[u8]) -> Lan
 }
 
 /// True when chunk `idx` is the last occupant of its device lane slot,
-/// i.e. its final window state is the one a sequential run would leave
-/// in device memory.
+/// i.e. its final window state is the one running every chunk on the
+/// device memory would leave there.
 pub(crate) fn is_final_occupant(idx: usize, lanes_cap: usize, total: usize) -> bool {
     idx + lanes_cap >= total
 }
 
-/// Sequential execution through the same slot/reset machinery as the
-/// pool: one slot, reused chunk after chunk. Without `catch_panics`,
-/// panics propagate (the bare sequential path has no degradation
-/// contract to keep); with it — set when a supervisor is attached —
-/// each chunk runs under `catch_unwind` and a panicking chunk degrades
-/// to a [`FaultKind::HostPanic`] report exactly like the pooled path,
-/// so the supervisor sees the same fault stream either way.
-pub(crate) fn run_sequential(
-    p: &RunParams,
-    inputs: &[&[u8]],
-    catch_panics: bool,
-) -> (Vec<LaneReport>, Vec<WindowSnapshot>) {
-    let mut slot = LaneSlot::new(p.window_words);
-    let mut reports = Vec::with_capacity(inputs.len());
-    let mut finals = Vec::new();
-    for (idx, input) in inputs.iter().enumerate() {
-        let rep = if catch_panics {
-            match catch_unwind(AssertUnwindSafe(|| run_chunk(p, &mut slot, input))) {
-                Ok(rep) => rep,
-                Err(payload) => {
-                    slot = LaneSlot::new(p.window_words);
-                    fault_lane_report(panic_message(payload.as_ref()))
-                }
-            }
-        } else {
-            run_chunk(p, &mut slot, input)
-        };
-        let panicked = matches!(rep.status, LaneStatus::Fault(FaultKind::HostPanic(_)));
-        reports.push(rep);
-        if !panicked && is_final_occupant(idx, p.lanes_cap, inputs.len()) {
-            finals.push((idx % p.lanes_cap, slot.snapshot()));
-        }
-    }
-    (reports, finals)
+/// The host's core count, read once per process: the query reads
+/// cgroup files, which costs as much as a small run.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Pooled execution: `min(host threads, lanes_cap, chunks)` workers —
-/// the calling thread plus one fewer spawned helpers — race down the
-/// chunk list via a shared atomic counter. The caller claims chunk 0
-/// before spawning anything, so that chunk always runs on the calling
-/// thread. Returns index-addressed reports (every present entry at
-/// position `i` is chunk `i`'s report) plus the final window snapshots.
+/// Runs every chunk on `w` workers: `min(host threads, lanes_cap,
+/// chunks)` with `parallel` and more than one chunk, otherwise one.
+/// The calling thread is a worker and claims chunk 0 before spawning
+/// the `w - 1` helpers (none for one worker); all of them race down the
+/// chunk list via a shared atomic counter. Returns the reports in chunk
+/// order plus the final window snapshots.
 ///
 /// A chunk whose body panics yields a [`LaneStatus::Fault`] report and a
 /// rebuilt slot, on the calling thread as on a helper; in the
 /// (hypothetical) case of a worker dying outside the per-chunk
 /// `catch_unwind`, its claimed-but-unreported chunks come back as
-/// `None` and the engine substitutes fault reports — degradation never
-/// becomes a host abort.
-pub(crate) fn run_pooled(
+/// fault reports too — degradation never becomes a host abort.
+pub(crate) fn run(
     p: &RunParams,
     inputs: &[&[u8]],
-) -> (Vec<Option<LaneReport>>, Vec<WindowSnapshot>) {
+    parallel: bool,
+) -> (Vec<LaneReport>, Vec<WindowSnapshot>) {
     let total = inputs.len();
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(p.lanes_cap)
-        .min(total)
-        .max(1);
+    let workers = if parallel && total > 1 {
+        host_threads().min(p.lanes_cap).min(total)
+    } else {
+        1
+    };
     // Chunk 0 is the caller's; helpers claim from 1 on.
     let next = AtomicUsize::new(1);
     let mut results: Vec<Option<LaneReport>> = (0..total).map(|_| None).collect();
@@ -266,7 +220,13 @@ pub(crate) fn run_pooled(
             finals.extend(windows);
         }
     });
-    (results, finals)
+    let reports = results
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|| fault_lane_report("worker terminated before reporting".to_string()))
+        })
+        .collect();
+    (reports, finals)
 }
 
 /// One worker: run chunk `first`, then claim chunks until the counter

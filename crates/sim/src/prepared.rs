@@ -33,8 +33,7 @@ impl PreparedKernel {
         Self::from_parts(image, decoded)
     }
 
-    /// Prepares `image` around a caller's predecoded table (the store's
-    /// artifacts carry one). The table is shared only if its raw words
+    /// Prepares `image` around a caller's predecoded table. The table is shared only if its raw words
     /// are exactly `image.words`; otherwise the image is predecoded
     /// afresh. Lanes fetch from the table without re-reading memory
     /// while the code is pristine, so a table from another image would

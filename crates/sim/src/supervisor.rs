@@ -8,8 +8,8 @@
 //! the ladder for each faulted chunk:
 //!
 //! 1. **Retry.** The chunk is re-executed from its original staging on
-//!    a fresh [`pool::LaneSlot`] — the same reset/replay machinery both
-//!    execution paths use, so a replay is bit-identical to a first
+//!    a fresh [`pool::LaneSlot`] — the same reset/replay machinery every
+//!    pool worker uses, so a replay is bit-identical to a first
 //!    attempt. Attempts are bounded ([`SupervisorOptions::max_retries`])
 //!    with a capped host-side backoff between them. Transient chaos
 //!    hooks ([`LaneConfig::chaos_transient`]) are disarmed on replay,
@@ -163,8 +163,8 @@ pub enum ChunkOutcome {
 
 /// The health section of a [`crate::UdpRunReport`]: per-chunk outcomes
 /// plus a histogram of every fault encountered (including faults that
-/// were later recovered). Computed identically on the sequential and
-/// pooled paths, so it participates in the bit-identical determinism
+/// were later recovered). Computed identically whatever the pool's
+/// worker count, so it participates in the bit-identical determinism
 /// contract.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunHealth {

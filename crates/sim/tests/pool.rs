@@ -5,6 +5,7 @@
 //! speed knob, never a semantics knob.
 
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use udp_asm::{LayoutOptions, ProgramBuilder, Target};
 use udp_isa::action::{Action, Opcode};
 use udp_isa::Reg;
@@ -67,17 +68,21 @@ fn assert_pool_matches_sequential(
 ) {
     let base = UdpRunOptions::default();
     let mut seq_udp = Udp::new();
-    let seq = seq_udp.run_data_parallel(image, inputs, staging, &base);
+    let seq = seq_udp
+        .try_run_data_parallel(image, inputs, staging, &base)
+        .expect("valid run");
     let mut pool_udp = Udp::new();
-    let pooled = pool_udp.run_data_parallel(
-        image,
-        inputs,
-        staging,
-        &UdpRunOptions {
-            parallel: true,
-            ..base
-        },
-    );
+    let pooled = pool_udp
+        .try_run_data_parallel(
+            image,
+            inputs,
+            staging,
+            &UdpRunOptions {
+                parallel: true,
+                ..base
+            },
+        )
+        .expect("valid run");
     assert_eq!(seq, pooled, "pooled report diverged from sequential");
     let lanes = pooled.lanes_used.max(1).min(inputs.len());
     for lane in 0..lanes {
@@ -128,7 +133,9 @@ proptest! {
 /// poisoned chunks (long inputs crossing the chaos threshold) must come
 /// back as `Fault` reports while every sibling chunk — including ones
 /// the same pool worker ran after the panic — survives with clean
-/// state.
+/// state. A sequential run, with no supervisor attached, is the
+/// one-worker pool: every chunk runs on the calling thread and
+/// degrades the same way, into the same report.
 #[test]
 fn chaos_panics_degrade_through_the_pool() {
     let image = build_program(1, &[(1, 0)]); // emits on symbol 1
@@ -144,28 +151,50 @@ fn chaos_panics_degrade_through_the_pool() {
         },
         ..Default::default()
     };
-    // Silence the default panic hook for the deliberate panics, then
-    // restore it so unrelated test failures keep their messages.
+    let sequential = UdpRunOptions {
+        parallel: false,
+        ..opts.clone()
+    };
+    // Silence the default panic hook for the deliberate panics, noting
+    // the thread each one ran on, then restore it so unrelated test
+    // failures keep their messages.
+    let panicked_on = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&panicked_on);
     let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    std::panic::set_hook(Box::new(move |info| {
+        if info.to_string().contains("chaos") {
+            seen.lock().unwrap().push(std::thread::current().id());
+        }
+    }));
     let rep = Udp::new().try_run_data_parallel(&image, &chunks, &Staging::default(), &opts);
+    let pooled_panics = panicked_on.lock().unwrap().len();
+    let seq = Udp::new().try_run_data_parallel(&image, &chunks, &Staging::default(), &sequential);
     std::panic::set_hook(hook);
     let rep = rep.expect("pre-flight config is valid");
-    assert_eq!(rep.lanes.len(), 8);
-    for (i, lane) in rep.lanes.iter().enumerate() {
-        if chunks[i].len() > 100 {
-            assert!(
-                matches!(
-                    &lane.status,
-                    LaneStatus::Fault(udp_sim::FaultKind::HostPanic(m)) if m.contains("chaos")
-                ),
-                "chunk {i} should have faulted: {:?}",
-                lane.status
-            );
-            assert_eq!(lane.cycles, 0, "faulted chunk reports zero counters");
-        } else {
-            assert_eq!(lane.status, LaneStatus::InputExhausted, "chunk {i}");
-            assert_eq!(lane.output, vec![1u8; 8], "chunk {i} output survives");
+    let seq = seq.expect("pre-flight config is valid");
+    assert_eq!(
+        panicked_on.lock().unwrap()[pooled_panics..],
+        vec![std::thread::current().id(); 3],
+        "a sequential run's chunks all run on the calling thread"
+    );
+    for rep in [&rep, &seq] {
+        assert_eq!(rep.lanes.len(), 8);
+        for (i, lane) in rep.lanes.iter().enumerate() {
+            if chunks[i].len() > 100 {
+                assert!(
+                    matches!(
+                        &lane.status,
+                        LaneStatus::Fault(udp_sim::FaultKind::HostPanic(m)) if m.contains("chaos")
+                    ),
+                    "chunk {i} should have faulted: {:?}",
+                    lane.status
+                );
+                assert_eq!(lane.cycles, 0, "faulted chunk reports zero counters");
+            } else {
+                assert_eq!(lane.status, LaneStatus::InputExhausted, "chunk {i}");
+                assert_eq!(lane.output, vec![1u8; 8], "chunk {i} output survives");
+            }
         }
     }
+    assert_eq!(seq, rep, "sequential report diverged from pooled");
 }

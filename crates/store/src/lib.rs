@@ -27,11 +27,11 @@
 //!   fails. Hostile bytes in the store directory cost a rebuild, never
 //!   a panic.
 //!
-//! The store hands out [`Artifact`]s holding `Arc<ProgramImage>` plus
-//! the predecoded execution table (`Arc<DecodedProgram>`), so
-//! downstream consumers (the serve runtime's kernel registry, the sim
-//! pool) share one decode across every wave instead of re-predecoding
-//! per run.
+//! The store hands out [`Artifact`]s holding an `Arc<ProgramImage>`,
+//! which downstream consumers (the serve runtime's kernel registry)
+//! share by `Arc`. Execution tables — the predecoded and compiled
+//! forms — are a simulator concern: the consumer prepares them once
+//! from the image (`udp_sim::PreparedKernel`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +50,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use udp_asm::serial::{decode_image, encode_image, FORMAT_VERSION};
-use udp_asm::{parse_asm, DecodedProgram, LayoutOptions, ProgramImage};
+use udp_asm::{parse_asm, LayoutOptions, ProgramImage};
 use udp_isa::mem::BANK_WORDS;
 use udp_isa::NUM_BANKS;
 
@@ -268,8 +268,7 @@ impl LoadOutcome {
     }
 }
 
-/// A store-served kernel: the verified image, its predecoded execution
-/// table, and enough provenance (source + layout) to journal a service
+/// A store-served kernel: the verified image and enough provenance (source + layout) to journal a service
 /// registration and rebuild after any future corruption.
 #[derive(Clone)]
 pub struct Artifact {
@@ -277,8 +276,6 @@ pub struct Artifact {
     pub key: ArtifactKey,
     /// The verified image, certificate attached.
     pub image: Arc<ProgramImage>,
-    /// Decode-once table shared by every run of this image.
-    pub decoded: Arc<DecodedProgram>,
     /// Smallest bank split whose window holds the image.
     pub banks_per_lane: usize,
     /// The kernel source (canonical `udp-asm` text form).
@@ -557,11 +554,9 @@ impl ArtifactStore {
         .map_err(|e| StoreError::Revalidate {
             detail: e.to_string(),
         })?;
-        let decoded = Arc::new(image.predecode());
         Ok(Artifact {
             key: *key,
             image: Arc::new(image),
-            decoded,
             banks_per_lane,
             source,
             layout,
@@ -596,11 +591,9 @@ impl ArtifactStore {
         match self.build_from_source(source, layout) {
             Ok((image, banks_per_lane)) => {
                 self.write_artifact(&key, source, layout, &image)?;
-                let decoded = Arc::new(image.predecode());
                 Ok(Artifact {
                     key,
                     image: Arc::new(image),
-                    decoded,
                     banks_per_lane,
                     source: source.to_string(),
                     layout: layout.clone(),

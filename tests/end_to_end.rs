@@ -56,12 +56,14 @@ fn engine_runs_multiple_waves_beyond_64_chunks() {
     let chunk = w::crimes_csv(2_000, 103);
     let inputs: Vec<&[u8]> = vec![&chunk; 130]; // three waves
     let mut udp = Udp::new();
-    let rep = udp.run_data_parallel(
-        &img,
-        &inputs,
-        &Staging::default(),
-        &UdpRunOptions::default(),
-    );
+    let rep = udp
+        .try_run_data_parallel(
+            &img,
+            &inputs,
+            &Staging::default(),
+            &UdpRunOptions::default(),
+        )
+        .expect("valid run");
     assert_eq!(rep.lanes.len(), 130);
     let single = rep.lanes[0].cycles;
     assert_eq!(rep.wall_cycles, single * 3, "three data-parallel waves");
