@@ -83,21 +83,8 @@ pub struct ResourceCert {
     pub base_output_bytes: u64,
     /// Maximum number of bulk-loop operations in any single reachable
     /// action block (UDP action blocks are linear, so this is the
-    /// loop-nesting proxy the compiled backend checks before fusing).
+    /// loop-nesting depth).
     pub max_loop_nest: u32,
-    /// Number of distinct reachable action blocks whose prefix matches
-    /// the `EmitSpan` fused-superop shape (proven single-successor
-    /// span-emit bursts). `0` lets the compiled backend skip fusion
-    /// recognition entirely.
-    pub fused_span_blocks: u32,
-    /// Number of distinct reachable action blocks matching the
-    /// action-per-symbol bit-emit shape (constant `MovI; EmitBits`
-    /// pairs, optionally ending in one dynamic `EmitB`) the compiled
-    /// backend's bit-burst superop fuses. `0` lets it skip that
-    /// recognizer entirely. The count is conservative: every block the
-    /// compiler could fuse is counted; reachability refinements may
-    /// count more.
-    pub fused_bitemit_blocks: u32,
     /// Structured reasons for each missing bound; empty iff the cert
     /// is complete.
     pub unbounded: Vec<CostBlocker>,
@@ -142,12 +129,10 @@ impl ResourceCert {
         };
         format!(
             "cycles/byte<={cpb} (+{base}), out-bytes/byte<={exp} (+{obase}), \
-             loop-nest<={nest}, span-blocks={spans}, bitemit-blocks={bitemits}{blockers}",
+             loop-nest<={nest}{blockers}",
             base = self.base_cycles,
             obase = self.base_output_bytes,
             nest = self.max_loop_nest,
-            spans = self.fused_span_blocks,
-            bitemits = self.fused_bitemit_blocks,
             blockers = if self.unbounded.is_empty() {
                 String::new()
             } else {

@@ -3,7 +3,7 @@
 //! The layout problem (paper §3.2.1): multi-way dispatch computes
 //! `address = state base + symbol`, so all of a state's transition words
 //! have *precise relative location constraints*. EffCLiP (Efficient
-//! Coupled Linear Packing [55]) places state footprints so they interleave
+//! Coupled Linear Packing \[55\]) places state footprints so they interleave
 //! without overlap — gaps in one state's symbol range hold other states'
 //! words, giving dense memory and a trivial ("perfect") hash: integer
 //! addition, with the signature check detecting reads of foreign words.

@@ -15,7 +15,7 @@
 //!    the addressing improvement over the UAP that halves some kernels'
 //!    code size (Figure 5c). UAP-compatible offset addressing is available
 //!    via [`LayoutOptions::uap_attach`] for that comparison.
-//! 3. **EffCLiP placement** (Efficient Coupled Linear Packing [55]):
+//! 3. **EffCLiP placement** (Efficient Coupled Linear Packing \[55\]):
 //!    states are packed so that `base + symbol` — a bare integer addition —
 //!    is a perfect hash: every *occupied* slot is exclusively owned, and
 //!    reads of unowned slots are detected by the signature check.
@@ -46,6 +46,7 @@
 
 pub mod cert;
 pub mod disasm;
+pub mod idiom;
 pub mod image;
 pub mod ir;
 pub mod layout;

@@ -26,7 +26,7 @@ use udp_isa::transition::ExecKind;
 /// to `ProgramImage`'s fields, or to the assembler's placement rules —
 /// the artifact store mixes it into content hashes, so a bump cleanly
 /// invalidates every cached artifact instead of misdecoding them.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard cap on the image word vector: the whole device memory
 /// (64 banks x 4096 words). Anything larger is hostile input.
@@ -214,8 +214,6 @@ fn encode_cert(v: &mut Vec<u8>, cert: &ResourceCert) {
     put_opt_u64(v, cert.max_output_expansion);
     put_u64(v, cert.base_output_bytes);
     put_u32(v, cert.max_loop_nest);
-    put_u32(v, cert.fused_span_blocks);
-    put_u32(v, cert.fused_bitemit_blocks);
     put_u32(v, cert.unbounded.len() as u32);
     for b in &cert.unbounded {
         v.push(match b.metric {
@@ -255,8 +253,6 @@ fn decode_cert(r: &mut Reader<'_>) -> Result<ResourceCert, SerialError> {
     let max_output_expansion = r.opt_u64("cert output ratio")?;
     let base_output_bytes = r.u64("cert output base")?;
     let max_loop_nest = r.u32("cert loop nest")?;
-    let fused_span_blocks = r.u32("cert span blocks")?;
-    let fused_bitemit_blocks = r.u32("cert bitemit blocks")?;
     let n = r.len("cert blockers", MAX_BLOCKERS, 7)?;
     let mut unbounded = Vec::with_capacity(n);
     for _ in 0..n {
@@ -295,8 +291,6 @@ fn decode_cert(r: &mut Reader<'_>) -> Result<ResourceCert, SerialError> {
         max_output_expansion,
         base_output_bytes,
         max_loop_nest,
-        fused_span_blocks,
-        fused_bitemit_blocks,
         unbounded,
     })
 }
@@ -456,8 +450,6 @@ mod tests {
             max_output_expansion: None,
             base_output_bytes: 9,
             max_loop_nest: 2,
-            fused_span_blocks: 1,
-            fused_bitemit_blocks: 0,
             unbounded: vec![CostBlocker {
                 metric: CostMetric::Output,
                 addr: Some(0x1040),

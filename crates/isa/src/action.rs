@@ -245,6 +245,102 @@ impl fmt::Display for Opcode {
     }
 }
 
+/// Architectural cap on a bulk loop action's length in bytes: `LoopCpy`,
+/// `LoopOut`, `LoopBack` and `LoopIn` fault beyond it, and the compare
+/// loops clamp their `R14` limit to it.
+pub const LOOP_CAP: u32 = 1 << 26;
+
+/// Architectural cap on one transition's action-block length in words;
+/// a block still running after this many fetches faults.
+pub const BLOCK_CAP: usize = 4096;
+
+/// Output bytes one issue of an action can produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutBytes {
+    /// At most this many bytes (`EmitBits` can complete two bytes of
+    /// the bit-packed stream).
+    Upto(u8),
+    /// Exactly the loop length `n`.
+    Loop,
+}
+
+/// How one action is charged: the single description of the paper's
+/// action costs (§3.2.5) that the lane interpreter, the compiled
+/// backend and the static cost model all read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Charge {
+    /// Cycles charged at issue: 0 for the hardware-folded `SetSymT`, 2
+    /// for the read-modify-write `BumpW`, 1 otherwise.
+    pub issue: u8,
+    /// A bulk loop: its `n` bytes move 8 per cycle, adding `ceil(n/8)`
+    /// cycles after issue.
+    pub bulk: bool,
+    /// Most output bytes one issue produces.
+    pub out: OutBytes,
+    /// The action may write local memory.
+    pub writes_mem: bool,
+}
+
+impl Charge {
+    /// Cycles the bulk datapath adds for an `n`-byte loop (0 for
+    /// non-loop actions).
+    #[inline]
+    pub const fn bulk_cycles(self, n: u32) -> u64 {
+        if self.bulk {
+            n.div_ceil(8) as u64
+        } else {
+            0
+        }
+    }
+
+    /// Most output bytes of one issue moving `n` loop bytes.
+    #[inline]
+    pub const fn out_bytes(self, n: u64) -> u64 {
+        match self.out {
+            OutBytes::Upto(b) => b as u64,
+            OutBytes::Loop => n,
+        }
+    }
+}
+
+impl Opcode {
+    /// The charging rules of this opcode.
+    #[inline]
+    pub const fn charge(self) -> Charge {
+        use Opcode::*;
+        Charge {
+            issue: match self {
+                SetSymT => 0,
+                BumpW => 2,
+                _ => 1,
+            },
+            bulk: matches!(
+                self,
+                LoopCmp | LoopCmpM | LoopCpy | LoopOut | LoopBack | LoopIn
+            ),
+            out: match self {
+                EmitB => OutBytes::Upto(1),
+                EmitW => OutBytes::Upto(4),
+                EmitBits => OutBytes::Upto(2),
+                LoopOut | LoopBack | LoopIn => OutBytes::Loop,
+                _ => OutBytes::Upto(0),
+            },
+            writes_mem: matches!(self, StoreW | StoreB | BumpW | LoopCpy),
+        }
+    }
+}
+
+/// Summed issue cycles of an action sequence.
+pub const fn issue_cycles(ops: &[Opcode]) -> u64 {
+    let mut sum = 0;
+    let mut i = 0;
+    while i < ops.len() {
+        sum += ops[i].charge().issue as u64;
+        i += 1;
+    }
+    sum
+}
+
 /// A decoded action word.
 ///
 /// Field meaning depends on [`Opcode::format`]; unused fields are zero.
@@ -430,6 +526,28 @@ mod tests {
             };
             assert_eq!(op.format(), expect, "{op}");
         }
+    }
+
+    #[test]
+    fn charge_table_follows_the_paper_costs() {
+        use Opcode::*;
+        let loops = [LoopCmp, LoopCmpM, LoopCpy, LoopOut, LoopBack, LoopIn];
+        for &op in Opcode::ALL {
+            let c = op.charge();
+            let issue = match op {
+                SetSymT => 0,
+                BumpW => 2,
+                _ => 1,
+            };
+            assert_eq!(c.issue, issue, "{op}");
+            assert_eq!(c.bulk, loops.contains(&op), "{op}");
+            assert_eq!(c.bulk_cycles(17), if c.bulk { 3 } else { 0 }, "{op}");
+        }
+        assert_eq!(EmitW.charge().out_bytes(9), 4);
+        assert_eq!(LoopBack.charge().out_bytes(9), 9);
+        assert_eq!(LoopCpy.charge().out_bytes(9), 0);
+        assert!(LoopCpy.charge().writes_mem && !LoopOut.charge().writes_mem);
+        assert_eq!(issue_cycles(&[SetSymT, BumpW, EmitB]), 3);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::lane::{cap_status, CodeTables, Lane, LaneConfig, LaneReport, LaneStat
 use crate::memory::LocalMemory;
 use crate::stream::{BitStream, OutputSink};
 use std::sync::Arc;
+use udp_asm::idiom::EmitSpan;
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_isa::transition::{ExecKind, TransitionWord};
 
@@ -343,7 +344,7 @@ impl Ctx<'_, '_> {
                                     // `LoopIn` length fault mid-block: three
                                     // actions architecturally ran (their
                                     // cycles are owed), the lane stops.
-                                    cyc += 3;
+                                    cyc += EmitSpan::FAULT_CYCLES;
                                     self.credit_burst(data, seg_start, pos, cur, cyc, misses);
                                     return Next::Stop;
                                 }

@@ -54,12 +54,13 @@ mod exec;
 
 pub(crate) use exec::run_compiled;
 
-use crate::lane::{EmitSpan, BLOCK_CAP, EMIT_SPAN_LEN};
 use std::collections::HashMap;
+use udp_asm::idiom::{recognize_bitemit, EmitSpan};
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::{DecodedProgram, ProgramImage};
 use udp_isa::action::{Action, Opcode};
 use udp_isa::transition::{ExecKind, TransitionWord, FALLBACK_SIGNATURE};
+use udp_isa::BLOCK_CAP;
 
 /// Packed dense-table entry layout: the top two bits select the entry
 /// class, the low 30 bits carry the payload (a compiled-state index or
@@ -145,7 +146,7 @@ pub(crate) const BITEMIT_NONE: u16 = u16::MAX;
 /// locals. Two recognized shapes, plus the trivial hit/miss arcs so a
 /// mixed state keeps bursting:
 ///
-/// * **encoder** (`recognize_bitemit`): a consume arc whose block is
+/// * **encoder** ([`recognize_bitemit`]): a consume arc whose block is
 ///   ≤ 2 constant `MovI rd; EmitBits rd` pairs, optionally ending in
 ///   one `EmitB` — folded at compile time to ≤ 32 constant output bits
 ///   plus an optional dynamic byte;
@@ -187,76 +188,6 @@ pub(crate) struct BitEmit {
     pub(crate) nacts: u8,
     /// Compiled successor — statically a consuming state.
     pub(crate) next: u32,
-}
-
-/// What `recognize_bitemit` extracts from a fusable block.
-struct BitEmitShape {
-    code: u32,
-    len: u8,
-    writes: [(u8, u32); 2],
-    nwrites: u8,
-    dyn_byte: Option<(u8, u16)>,
-}
-
-/// Recognizes the action-per-symbol emit idiom: a sequence of ≤ 2
-/// `MovI rd, imm; EmitBits rd, w` constant pairs (folded into one
-/// ≤ 32-bit code), optionally ending in a single `EmitB src, imm`
-/// (kept dynamic — it reads `src` live). Any register the block
-/// touches must be neither `R13` (the burst defers the symbol latch)
-/// nor `R15` (reads the deferred stream cursor). Mirrored by the
-/// verifier's `fused_bitemit_blocks` certification count.
-fn recognize_bitemit(acts: &[Action]) -> Option<BitEmitShape> {
-    let mut code: u64 = 0;
-    let mut len: u32 = 0;
-    let mut writes: Vec<(u8, u32)> = Vec::new();
-    let mut i = 0;
-    let banned = |r: udp_isa::Reg| r == udp_isa::Reg::R13 || r == udp_isa::Reg::R15;
-    while i < acts.len() {
-        let a = &acts[i];
-        if a.op == Opcode::MovI && i + 1 < acts.len() {
-            let e = &acts[i + 1];
-            if e.op != Opcode::EmitBits || e.src != a.dst || banned(a.dst) {
-                return None;
-            }
-            let w = u32::from(e.imm1.clamp(1, 16));
-            code = (code << w) | u64::from(u32::from(a.imm) & ((1u32 << w) - 1));
-            len += w;
-            writes.retain(|&(r, _)| r != a.dst.index());
-            writes.push((a.dst.index(), u32::from(a.imm)));
-            if writes.len() > 2 || len > 32 {
-                return None;
-            }
-            i += 2;
-        } else if a.op == Opcode::EmitB && i + 1 == acts.len() && !banned(a.src) {
-            let mut ws = [(0u8, 0u32); 2];
-            for (slot, &w) in ws.iter_mut().zip(&writes) {
-                *slot = w;
-            }
-            return Some(BitEmitShape {
-                code: code as u32,
-                len: len as u8,
-                writes: ws,
-                nwrites: writes.len() as u8,
-                dyn_byte: Some((a.src.index(), a.imm)),
-            });
-        } else {
-            return None;
-        }
-    }
-    if len == 0 {
-        return None;
-    }
-    let mut ws = [(0u8, 0u32); 2];
-    for (slot, &w) in ws.iter_mut().zip(&writes) {
-        *slot = w;
-    }
-    Some(BitEmitShape {
-        code: code as u32,
-        len: len as u8,
-        writes: ws,
-        nwrites: writes.len() as u8,
-        dyn_byte: None,
-    })
 }
 
 /// A non-trivial taken transition: enough to re-enter the interpreter's
@@ -310,9 +241,9 @@ pub(crate) struct CachedBlock {
     pub(crate) flat: u32,
     /// The decoded actions, through the `last` marker inclusive.
     pub(crate) acts: Box<[Action]>,
-    /// True when no action in the block can write local memory
-    /// (`StoreW`/`StoreB`/`BumpW`/`LoopCpy`), so the pristine-code flag
-    /// cannot drop mid-block and the per-action re-validation is dead.
+    /// True when no action in the block can write local memory (per the
+    /// ISA charge table), so the pristine-code flag cannot drop mid-block
+    /// and the per-action re-validation is dead.
     pub(crate) pure_code: bool,
     /// Fused span-emit prefix when the block opens with the
     /// `InIdx; Sub; LoopIn; EmitB; InIdx` idiom (see [`EmitSpan`]).
@@ -415,7 +346,7 @@ fn is_trivial(t: &TransitionWord) -> bool {
 }
 
 /// Resolves and decodes `t`'s action block against the image-init
-/// attach bases. The walk mirrors `run_action_block`'s addressing
+/// attach bases. The walk follows `run_action_block`'s addressing
 /// (strictly linear, `last` terminates) and bails to `None` — meaning
 /// "run this block decode-on-read" — on anything it cannot prove
 /// static: skip ops make the walk data-dependent, a `None` table slot
@@ -426,7 +357,6 @@ fn cache_block(
     t: &TransitionWord,
     abase: u32,
     ascale: u8,
-    try_fuse: bool,
 ) -> Option<CachedBlock> {
     let flat = t.action_addr(abase, ascale)?;
     let table = decoded.actions();
@@ -444,17 +374,8 @@ fn cache_block(
         let last = a.last;
         block.push(a);
         if last {
-            let pure_code = !block.iter().any(|a| {
-                matches!(
-                    a.op,
-                    Opcode::StoreW | Opcode::StoreB | Opcode::BumpW | Opcode::LoopCpy
-                )
-            });
-            let fused = if try_fuse {
-                EmitSpan::recognize(&block)
-            } else {
-                None
-            };
+            let pure_code = !block.iter().any(|a| a.op.charge().writes_mem);
+            let fused = EmitSpan::recognize(&block);
             return Some(CachedBlock {
                 flat,
                 acts: block.into_boxed_slice(),
@@ -470,7 +391,7 @@ fn cache_block(
 fn inline_fused(ge: &GeneralEntry, states: &[StateInfo]) -> Option<InlineFused> {
     let cb = ge.block.as_ref()?;
     let f = cb.fused.as_ref()?;
-    if cb.acts.len() != EMIT_SPAN_LEN || f.touches_r13() {
+    if cb.acts.len() != EmitSpan::LEN || f.touches_r13() {
         return None;
     }
     let next = usize::try_from(ge.next)
@@ -541,18 +462,18 @@ fn bitemit_entry(
         return None;
     }
     let next = next_consume(*n2)?;
-    let cb2 = cache_block(decoded, t2, abase, ascale, false)?;
-    let [a] = &cb2.acts[..] else {
-        return None;
-    };
-    if a.op != Opcode::EmitB || a.src == udp_isa::Reg::R13 || a.src == udp_isa::Reg::R15 {
+    // The emit block is one action, so the recognizer can only match
+    // a lone `EmitB`.
+    let cb2 = cache_block(decoded, t2, abase, ascale)?;
+    if cb2.acts.len() != 1 {
         return None;
     }
+    let dyn_byte = recognize_bitemit(&cb2.acts)?.dyn_byte;
     Some(BitEmit {
         code: 0,
         len: 0,
         miss: ge.miss,
-        dyn_byte: Some((a.src.index(), a.imm)),
+        dyn_byte,
         pass_mid: Some(ps.base),
         refill: refill.unwrap_or(0),
         writes: [(0, 0); 2],
@@ -579,16 +500,6 @@ impl CompiledProgram {
         let span = image.words.len().min(decoded.transitions().len());
         let wbase = image.init.wbase;
         let (abase, ascale) = (image.init.abase, image.init.ascale);
-        // The verifier's certificate counts reachable blocks matching
-        // the EmitSpan shape; when it proves there are none, skip the
-        // per-block recognizer entirely — its preconditions were
-        // already discharged statically. Same gate for the bit-emit
-        // (action-per-symbol) recognizer.
-        let try_fuse = image.cert.as_ref().is_none_or(|c| c.fused_span_blocks > 0);
-        let try_bitemit = image
-            .cert
-            .as_ref()
-            .is_none_or(|c| c.fused_bitemit_blocks > 0);
 
         // Pass 1: discover the reachable (base, kind) state set.
         let mut index: HashMap<(u32, u8), u32> = HashMap::new();
@@ -696,7 +607,7 @@ impl CompiledProgram {
                                     TAG_HIT | next
                                 } else {
                                     let g = general.len() as u32;
-                                    let block = cache_block(decoded, &t, abase, ascale, try_fuse);
+                                    let block = cache_block(decoded, &t, abase, ascale);
                                     general.push(GeneralEntry {
                                         t,
                                         miss: false,
@@ -713,8 +624,7 @@ impl CompiledProgram {
                                     TAG_MISS | next
                                 } else {
                                     let g = *fallback_entry.get_or_insert_with(|| {
-                                        let block =
-                                            cache_block(decoded, &t, abase, ascale, try_fuse);
+                                        let block = cache_block(decoded, &t, abase, ascale);
                                         general.push(GeneralEntry {
                                             t,
                                             miss: true,
@@ -786,7 +696,7 @@ impl CompiledProgram {
                 let payload = (e & PAYLOAD_MASK) as usize;
                 let at = if e < TAG_GENERAL {
                     &mut trivial_at[payload][usize::from(e >= TAG_MISS)]
-                } else if e < TAG_EXIT && try_bitemit {
+                } else if e < TAG_EXIT {
                     &mut general_at[payload]
                 } else {
                     continue;
@@ -1073,17 +983,16 @@ mod tests {
         b.assemble(&LayoutOptions::default()).unwrap()
     }
 
-    /// The verifier's `fused_span_blocks` count and the compiler's own
-    /// recognizer must agree: every block the compiler fuses is one the
-    /// certificate counted (the cert mirrors `EmitSpan::recognize`), and
-    /// a certified count of zero disables recognition without losing
-    /// any fusion.
+    /// The span idiom fuses whether or not the image carries a
+    /// certificate: the compiler runs the shared recognizer on every
+    /// cached block, and the verifier (which amortizes the same idiom)
+    /// still certifies the image.
     #[test]
     fn cert_span_count_is_consistent_with_fusion() {
         let image = span_scanner();
         let report = udp_verify::verify_image(&image, &udp_verify::VerifyOptions::default());
         let cert = report.cert.expect("cost pass must run on a clean image");
-        assert!(cert.fused_span_blocks > 0, "{}", cert.summary());
+        assert!(cert.is_complete(), "{}", cert.summary());
 
         let decoded = image.predecode();
         let count_fused = |cp: &CompiledProgram| {
@@ -1093,27 +1002,12 @@ mod tests {
                 .filter(|b| b.fused.is_some())
                 .map(|b| b.flat)
                 .collect::<std::collections::BTreeSet<u32>>()
-                .len() as u32
+                .len()
         };
         let cp = CompiledProgram::compile(&image, &decoded).expect("must specialize");
         let fused = count_fused(&cp);
         assert!(fused > 0, "span idiom must fuse");
-        assert!(
-            fused <= cert.fused_span_blocks,
-            "compiler fused {fused} blocks but cert counted {}",
-            cert.fused_span_blocks
-        );
 
-        // A cert claiming zero span blocks turns the recognizer off.
-        let mut gated = image.clone();
-        gated.cert = Some(udp_asm::ResourceCert {
-            fused_span_blocks: 0,
-            ..cert.clone()
-        });
-        let cp0 = CompiledProgram::compile(&gated, &decoded).expect("must specialize");
-        assert_eq!(count_fused(&cp0), 0);
-
-        // And the true cert attached leaves fusion identical.
         let mut certified = image.clone();
         certified.cert = Some(cert);
         let cp1 = CompiledProgram::compile(&certified, &decoded).expect("must specialize");
@@ -1359,17 +1253,13 @@ mod tests {
         );
     }
 
-    /// The verifier's `fused_bitemit_blocks` count and the compiler's
-    /// bit-emit recognizer must agree, mirroring the span-count
-    /// consistency contract: a certified count of zero disables the
-    /// recognizer without losing fusion elsewhere, and the true cert
-    /// changes nothing.
+    /// The bit-emit idiom fuses whether or not the image carries a
+    /// certificate, like the span idiom above.
     #[test]
     fn cert_bitemit_count_is_consistent_with_fusion() {
         let image = bit_encoder();
         let report = udp_verify::verify_image(&image, &udp_verify::VerifyOptions::default());
         let cert = report.cert.expect("cost pass must run on a clean image");
-        assert!(cert.fused_bitemit_blocks > 0, "{}", cert.summary());
 
         let decoded = image.predecode();
         let count_bitfused = |cp: &CompiledProgram| {
@@ -1382,16 +1272,6 @@ mod tests {
         let fused = count_bitfused(&cp);
         assert!(fused > 0, "bit-emit idiom must fuse");
 
-        // A cert claiming zero bit-emit blocks turns the recognizer off.
-        let mut gated = image.clone();
-        gated.cert = Some(udp_asm::ResourceCert {
-            fused_bitemit_blocks: 0,
-            ..cert.clone()
-        });
-        let cp0 = CompiledProgram::compile(&gated, &decoded).expect("must specialize");
-        assert_eq!(count_bitfused(&cp0), 0);
-
-        // And the true cert attached leaves fusion identical.
         let mut certified = image.clone();
         certified.cert = Some(cert);
         let cp1 = CompiledProgram::compile(&certified, &decoded).expect("must specialize");

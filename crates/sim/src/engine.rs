@@ -47,8 +47,8 @@ pub enum ExecBackend {
     Compiled,
 }
 
-/// An `UDP_SIM_BACKEND` / [`ExecBackend::from_str`] value that names no
-/// backend. Carries the rejected string so the caller (or the warning
+/// An `UDP_SIM_BACKEND` / [`FromStr`](std::str::FromStr) value that
+/// names no backend. Carries the rejected string so the caller (or the warning
 /// [`ExecBackend::from_env`] prints) can show exactly what was typed —
 /// a typo'd `UDP_SIM_BACKEND=complied` must not silently run the wrong
 /// backend matrix leg.
@@ -94,7 +94,7 @@ impl std::str::FromStr for ExecBackend {
 
 impl ExecBackend {
     /// Backend selected by the `UDP_SIM_BACKEND` environment variable
-    /// (parsed with [`ExecBackend::from_str`]; unset or empty means the
+    /// (parsed with [`FromStr`](std::str::FromStr); unset or empty means the
     /// interpreter). This is what lets CI run whole test suites as a
     /// backend matrix without per-callsite plumbing:
     /// [`UdpRunOptions::default`] starts from this value.

@@ -6,104 +6,12 @@ use crate::error::FaultKind;
 use crate::memory::LocalMemory;
 use crate::stream::{BitStream, OutputSink};
 use std::sync::Arc;
+use udp_asm::idiom::EmitSpan;
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::{DecodedProgram, ProgramImage};
 use udp_isa::action::{Action, Opcode};
 use udp_isa::transition::{ExecKind, TransitionWord, FALLBACK_SIGNATURE};
-use udp_isa::{Reg, Word};
-
-/// Architectural ceiling on one transition's action-block length; a
-/// block still running after this many fetches faults `LoopOverflow`.
-pub(crate) const BLOCK_CAP: usize = 4096;
-
-/// Length of the fused emit-span prefix (see [`EmitSpan`]).
-pub(crate) const EMIT_SPAN_LEN: usize = 5;
-
-/// A compile-time-recognized `InIdx; Sub; LoopIn; EmitB; InIdx`
-/// action-block prefix — the span-emit idiom every field/record
-/// boundary of the scanner-style kernels runs (copy the input bytes
-/// since the last mark to the output, append a separator, re-mark).
-/// Holding the register numbers and immediates lets the lane run the
-/// whole prefix as one straight-line routine instead of five decoded
-/// `exec` dispatches; every architectural effect (register writes in
-/// program order, the `LoopOverflow` length check, cycle/action/read
-/// charges) lands exactly as the generic walk's.
-///
-/// None of the five ops moves the stream cursor or writes memory, so
-/// the prefix is always `pure_code` and the input index read by the
-/// leading `InIdx` still holds for the trailing one.
-#[derive(Debug, Clone)]
-pub(crate) struct EmitSpan {
-    /// `InIdx` destination (the span-end mark).
-    d0: u8,
-    /// Sign-extended immediate of the leading `InIdx`.
-    off0: u32,
-    /// `Sub` destination (the span length).
-    d1: u8,
-    /// `Sub` reference register (minuend).
-    r1: u8,
-    /// `Sub` source register (subtrahend).
-    s1: u8,
-    /// `LoopIn` reference register (input start index).
-    r2: u8,
-    /// `LoopIn` source register (length).
-    s2: u8,
-    /// `EmitB` source register.
-    s3: u8,
-    /// `EmitB` immediate.
-    imm3: u32,
-    /// Trailing `InIdx` destination (the new mark).
-    d4: u8,
-    /// Sign-extended immediate of the trailing `InIdx`.
-    off4: u32,
-}
-
-impl EmitSpan {
-    /// Matches the idiom against a cached block's first five actions.
-    /// Declines when any consulted register is `R15` (the live input
-    /// index) so the fused routine can read the plain register file.
-    pub(crate) fn recognize(block: &[Action]) -> Option<EmitSpan> {
-        if block.len() < EMIT_SPAN_LEN {
-            return None;
-        }
-        let (a0, a1, a2, a3, a4) = (&block[0], &block[1], &block[2], &block[3], &block[4]);
-        let ok = a0.op == Opcode::InIdx
-            && a1.op == Opcode::Sub
-            && a2.op == Opcode::LoopIn
-            && a3.op == Opcode::EmitB
-            && a4.op == Opcode::InIdx;
-        let regs = [
-            a0.dst, a1.dst, a1.rref, a1.src, a2.rref, a2.src, a3.src, a4.dst,
-        ];
-        if !ok || regs.contains(&Reg::R15) {
-            return None;
-        }
-        let sx = |imm: u16| i32::from(imm as i16) as u32;
-        Some(EmitSpan {
-            d0: a0.dst.index(),
-            off0: sx(a0.imm),
-            d1: a1.dst.index(),
-            r1: a1.rref.index(),
-            s1: a1.src.index(),
-            r2: a2.rref.index(),
-            s2: a2.src.index(),
-            s3: a3.src.index(),
-            imm3: u32::from(a3.imm),
-            d4: a4.dst.index(),
-            off4: sx(a4.imm),
-        })
-    }
-
-    /// True when any consulted register is `R13` — the dispatch-symbol
-    /// latch, which the burst loop defers syncing until segment end, so
-    /// an in-burst fused run must not read or clobber it.
-    pub(crate) fn touches_r13(&self) -> bool {
-        [
-            self.d0, self.d1, self.r1, self.s1, self.r2, self.s2, self.s3, self.d4,
-        ]
-        .contains(&13)
-    }
-}
+use udp_isa::{Reg, Word, BLOCK_CAP, LOOP_CAP};
 
 /// The predecoded code tables, hoisted out of the `Arc` into plain
 /// slices held in locals for the duration of a run — the fetch fast
@@ -250,7 +158,7 @@ impl LaneConfig {
 /// # Lifecycle
 ///
 /// A lane is born [`LaneStatus::Running`] and stays there for its whole
-/// execution; [`Lane::step`] transitions it *at most once* to a
+/// execution; each step transitions it *at most once* to a
 /// terminal variant (anything but `Running`), after which stepping is a
 /// no-op contract violation — [`Lane::run`] polls the status after
 /// every step and stops on the first terminal value. The status is
@@ -882,7 +790,7 @@ impl Lane {
             if !self.run_emit_span(f, mem, stream, out) {
                 return;
             }
-            at = EMIT_SPAN_LEN;
+            at = EmitSpan::LEN;
             if at >= block.len() {
                 return;
             }
@@ -928,8 +836,8 @@ impl Lane {
     /// Runs a recognized [`EmitSpan`] prefix as one straight-line
     /// routine. Register reads and writes happen in exact program
     /// order (aliased registers observe every intermediate value), and
-    /// the charges are precisely the generic walk's: one cycle per
-    /// action plus the loop-copy's 8-bytes-per-cycle bulk charge, one
+    /// the charges are precisely the generic walk's: each action's issue
+    /// cycles from the ISA charge table plus the `LoopIn` bulk charge, one
     /// counted code read per action, `actions_run` per action. Returns
     /// `false` when the `LoopIn` length check faulted (the block is
     /// over; charges cover the three actions that architecturally ran).
@@ -947,7 +855,7 @@ impl Lane {
                 true
             }
             None => {
-                self.cycles += 3;
+                self.cycles += EmitSpan::FAULT_CYCLES;
                 false
             }
         }
@@ -960,8 +868,8 @@ impl Lane {
     /// every other effect — register writes, output, `actions_run`, the
     /// counted code reads — lands directly. `None` means the `LoopIn`
     /// length check faulted (status set; the three architecturally-run
-    /// actions' non-cycle charges applied, their three cycles owed by
-    /// the caller).
+    /// actions' non-cycle charges applied, their
+    /// [`EmitSpan::FAULT_CYCLES`] owed by the caller).
     #[inline]
     pub(crate) fn run_emit_span_unsynced(
         &mut self,
@@ -971,7 +879,6 @@ impl Lane {
         stream: &BitStream,
         out: &mut OutputSink,
     ) -> Option<u64> {
-        const LOOP_CAP: u32 = 1 << 26;
         self.regs[f.d0 as usize] = idx.wrapping_add(f.off0);
         let len = self.regs[f.r1 as usize].wrapping_sub(self.regs[f.s1 as usize]);
         self.regs[f.d1 as usize] = len;
@@ -992,9 +899,9 @@ impl Lane {
         }
         out.push_byte(self.regs[f.s3 as usize].wrapping_add(f.imm3) as u8);
         self.regs[f.d4 as usize] = idx.wrapping_add(f.off4);
-        self.actions_run += 5;
-        mem.add_reads(5);
-        Some(5 + u64::from(n.div_ceil(8)))
+        self.actions_run += EmitSpan::LEN as u64;
+        mem.add_reads(EmitSpan::LEN as u64);
+        Some(EmitSpan::ISSUE_CYCLES + Opcode::LoopIn.charge().bulk_cycles(n))
     }
 
     fn rd(&self, r: Reg, stream: &BitStream) -> u32 {
@@ -1032,7 +939,9 @@ impl Lane {
             };
         }
         let byte_origin = self.origin * 4;
-        self.cycles += 1; // default; adjusted below for multi-cycle ops
+        // The bulk charge is read in the loop arms, where the opcode is
+        // known, so the hot path computes only the issue cycles here.
+        self.cycles += u64::from(a.op.charge().issue);
         match a.op {
             Nop => {}
             MovI => self.wr(a.dst, imm),
@@ -1077,8 +986,6 @@ impl Lane {
                 }
             }
             SetSymT => {
-                // Hardware-folded per-transition width (SsT model): free.
-                self.cycles -= 1;
                 if (1..=8).contains(&a.imm) {
                     self.sym_bits = a.imm as u8;
                 } else {
@@ -1103,8 +1010,7 @@ impl Lane {
                 self.wr(a.dst, v);
             }
             BumpW => {
-                // Read-modify-write: 2 cycles, 2 references.
-                self.cycles += 1;
+                // Read-modify-write: 2 references.
                 let addr = byte_origin.wrapping_add(imm.wrapping_add(sv.wrapping_mul(4))) / 4;
                 self.note_write(addr);
                 let v = mem.read_word(addr).wrapping_add(1);
@@ -1200,19 +1106,19 @@ impl Lane {
             LoopCmp => {
                 // Stream-window vs stream-window compare, 8 bytes/cycle.
                 let rv = rv!();
-                let limit = self.regs[14].min(1 << 26);
+                let limit = self.regs[14].min(LOOP_CAP);
                 let mut n = 0u32;
                 while n < limit
                     && stream.byte_at(rv.wrapping_add(n)) == stream.byte_at(sv.wrapping_add(n))
                 {
                     n += 1;
                 }
-                self.charge_loop(n);
+                self.cycles += a.op.charge().bulk_cycles(n);
                 self.wr(a.dst, n);
             }
             LoopCmpM => {
                 let rv = rv!();
-                let limit = self.regs[14].min(1 << 26);
+                let limit = self.regs[14].min(LOOP_CAP);
                 let mut n = 0u32;
                 while n < limit
                     && mem.peek_byte(byte_origin.wrapping_add(rv).wrapping_add(n))
@@ -1220,7 +1126,7 @@ impl Lane {
                 {
                     n += 1;
                 }
-                self.charge_loop(n);
+                self.cycles += a.op.charge().bulk_cycles(n);
                 self.extra_refs += u64::from(n.div_ceil(8));
                 self.wr(a.dst, n);
             }
@@ -1238,7 +1144,7 @@ impl Lane {
                     byte_origin.wrapping_add(dst_addr),
                     n,
                 );
-                self.charge_loop(n);
+                self.cycles += a.op.charge().bulk_cycles(n);
             }
             LoopOut => {
                 let rv = rv!();
@@ -1249,7 +1155,7 @@ impl Lane {
                     });
                 }
                 self.extra_refs += u64::from(n.div_ceil(8));
-                self.charge_loop(n);
+                self.cycles += a.op.charge().bulk_cycles(n);
             }
             LoopBack => {
                 let rv = rv!();
@@ -1262,7 +1168,7 @@ impl Lane {
                     return 0;
                 }
                 out.copy_back(rv, n);
-                self.charge_loop(n);
+                self.cycles += a.op.charge().bulk_cycles(n);
             }
             LoopIn => {
                 let rv = rv!();
@@ -1270,7 +1176,7 @@ impl Lane {
                 if n > 0 {
                     out.push_bytes_with(|dst| stream.extend_bytes_into(rv, n as usize, dst));
                 }
-                self.charge_loop(n);
+                self.cycles += a.op.charge().bulk_cycles(n);
             }
             PeekAt => self.wr(a.dst, u32::from(stream.byte_at(rv!().wrapping_add(sv)))),
             PeekW => {
@@ -1292,15 +1198,9 @@ impl Lane {
         0
     }
 
-    /// Loop actions move 8 bytes per cycle after issue.
-    fn charge_loop(&mut self, n: u32) {
-        self.cycles += u64::from(n.div_ceil(8));
-    }
-
     /// Validates a loop-action length; absurd values (beyond any lane
     /// window) fault instead of spinning for minutes.
     fn loop_len(&mut self, n: u32) -> Option<u32> {
-        const LOOP_CAP: u32 = 1 << 26;
         if n > LOOP_CAP {
             self.status = LaneStatus::Fault(FaultKind::LoopOverflow {
                 context: "loop action",
@@ -1337,7 +1237,7 @@ pub(crate) fn cap_status(
 mod tests {
     use super::*;
     use udp_asm::{LayoutOptions, ProgramBuilder, Target};
-    use udp_isa::action::{Action, Opcode};
+    use udp_isa::action::{Action, ActionFormat, Opcode};
 
     fn cfg() -> LaneConfig {
         LaneConfig {
@@ -1389,6 +1289,73 @@ mod tests {
         assert_eq!(r.fallback_misses, 0);
         // 4 dispatches + 4 emit actions.
         assert_eq!(r.cycles, 8);
+    }
+
+    /// Dispatches one `a` into a halting arc carrying `acts`, with
+    /// `regs` preset, 64 `a` bytes of input, the same 64 bytes in data
+    /// memory at byte 16384, and 32 bytes of prior output (so
+    /// `LoopBack` has history to copy).
+    fn run_block(acts: Vec<Action>, regs: &[(u8, u32)]) -> LaneReport {
+        let mut b = ProgramBuilder::new();
+        let s = b.add_consuming_state();
+        b.set_entry(s);
+        b.labeled_arc(s, b'a' as u16, Target::Halt, acts);
+        b.fallback_arc(s, Target::Halt, vec![]);
+        let image = b.assemble(&LayoutOptions::default()).unwrap();
+        let mut mem = LocalMemory::with_words(8192);
+        mem.load_words(0, &image.words);
+        for i in 0..64 {
+            mem.write_byte(16384 + i, b'a');
+        }
+        let mut lane = Lane::new(&image, 0);
+        for &(r, v) in regs {
+            lane.preset_reg(Reg::new(r), v);
+        }
+        let input = [b'a'; 64];
+        let mut stream = BitStream::new(&input);
+        let mut out = OutputSink::new();
+        out.push_bytes(&[b'o'; 32]);
+        lane.run(&mut mem, &mut stream, &mut out, &cfg())
+    }
+
+    /// The lane charges every opcode exactly its ISA charge-table
+    /// cycles, and bulk loops `issue + ceil(n/8)` across lengths.
+    #[test]
+    fn every_opcode_charges_its_table_cycles() {
+        let dispatch = run_block(vec![], &[]).cycles;
+        for &op in Opcode::ALL {
+            let charge = op.charge();
+            let (dst, rref, src) = (Reg::new(3), Reg::new(2), Reg::new(1));
+            let a = match op.format() {
+                ActionFormat::Imm => Action::imm(op, dst, src, 4),
+                ActionFormat::Imm2 => Action::imm2(op, dst, src, 4, 4),
+                ActionFormat::Reg => Action::reg(op, dst, rref, src),
+            };
+            let lens: &[u32] = if charge.bulk { &[0, 1, 8, 9, 17] } else { &[0] };
+            for &n in lens {
+                // R1 = length (compare loops: stream offset 0, R14 the
+                // limit); R2 = source (history distance for LoopBack);
+                // R3 = destination / store base, clear of the code.
+                let r2 = match op {
+                    Opcode::LoopCmpM | Opcode::LoopCpy | Opcode::LoopOut => 16384,
+                    Opcode::LoopBack => 4,
+                    _ => 0,
+                };
+                let compare = matches!(op, Opcode::LoopCmp | Opcode::LoopCmpM);
+                let r1 = if compare { 0 } else { n };
+                let r = run_block(vec![a], &[(1, r1), (2, r2), (3, 20000), (14, n)]);
+                assert!(
+                    !matches!(r.status, LaneStatus::Fault(_)) || !charge.bulk,
+                    "{op} n={n}: {:?}",
+                    r.status
+                );
+                if compare {
+                    assert_eq!(r.regs[3], n, "{op} compared length");
+                }
+                let table = u64::from(charge.issue) + charge.bulk_cycles(n);
+                assert_eq!(r.cycles - dispatch, table, "{op} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! A chunk that ends in [`LaneStatus::Fault`] is not silently dropped
 //! from the run anymore. When a [`SupervisorOptions`] is attached to
 //! [`crate::UdpRunOptions::supervise`], the engine hands the per-chunk
-//! reports to [`supervise`], which walks them in chunk order and climbs
-//! the ladder for each faulted chunk:
+//! reports to its supervision pass, which walks them in chunk order
+//! and climbs the ladder for each faulted chunk:
 //!
 //! 1. **Retry.** The chunk is re-executed from its original staging on
-//!    a fresh [`pool::LaneSlot`] — the same reset/replay machinery every
+//!    a fresh pool lane slot — the same reset/replay machinery every
 //!    pool worker uses, so a replay is bit-identical to a first
 //!    attempt. Attempts are bounded ([`SupervisorOptions::max_retries`])
 //!    with a capped host-side backoff between them. Transient chaos

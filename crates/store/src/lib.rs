@@ -828,6 +828,25 @@ mod tests {
             store.load(&built.key),
             Err(StoreError::BadMagic { .. })
         ));
+
+        // An artifact written by another format version: typed, and the
+        // ladder rebuilds it from source.
+        let mut bad_version = full.clone();
+        bad_version[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        std::fs::write(&path, &bad_version).unwrap();
+        let want = StoreError::BadVersion {
+            found: FORMAT_VERSION + 1,
+            want: FORMAT_VERSION,
+        };
+        assert!(matches!(store.load(&built.key), Err(e) if e == want));
+        let rebuilt = store.get_or_build(&src, &layout).unwrap();
+        assert_eq!(
+            rebuilt.outcome,
+            LoadOutcome::Rebuilt {
+                why: Box::new(want)
+            }
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), full);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use udp_asm::ProgramImage;
 use udp_isa::action::{Action, ActionFormat, Opcode};
 use udp_isa::transition::ExecKind;
-use udp_isa::Reg;
+use udp_isa::{Reg, LOOP_CAP};
 
 /// Joins (that changed the target) a state absorbs before further joins
 /// widen straight to the extremes instead of creeping one bound at a
@@ -513,7 +513,7 @@ pub(crate) fn transfer(env: &mut RegEnv, a: &Action, conditional: bool) {
         }
         LoopCmp | LoopCmpM => {
             // Prefix length, capped by R14 and the architectural cap.
-            let limit = env[14].hi.min(1 << 26);
+            let limit = env[14].hi.min(LOOP_CAP);
             Interval::of(0, limit)
         }
         // No register result.

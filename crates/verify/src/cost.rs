@@ -17,8 +17,8 @@
 //! ## Model
 //!
 //! Every followed arc of the dispatch graph becomes an *edge* carrying
-//! three numbers derived from the lane interpreter's exact charging
-//! rules (`crates/sim/src/lane.rs`):
+//! three numbers derived from the ISA charge table
+//! ([`Opcode::charge`]), the same rules the lane interpreter charges:
 //!
 //! * `cost` — an upper bound on cycles for the dispatch plus the
 //!   attached action block (loop actions bounded through the interval
@@ -42,7 +42,7 @@
 //!
 //! ## Span amortization
 //!
-//! The scanner kernels' hot block starts with the `EmitSpan` idiom
+//! The scanner kernels' hot block starts with the [`EmitSpan`] idiom
 //! (`InIdx; Sub; LoopIn; EmitB; InIdx` — copy everything since the last
 //! mark, emit a separator, re-mark). Its `LoopIn` length is unbounded
 //! per-visit, but the mark-register discipline (every write to the mark
@@ -56,17 +56,12 @@ use crate::absint::{block_action_envs, AbsInt, Interval, RegEnv};
 use crate::checks::ReachInfo;
 use crate::graph::{action_write, ProgramGraph, Slot};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use udp_asm::idiom::EmitSpan;
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::{CostBlocker, CostMetric, ProgramImage, ResourceCert};
-use udp_isa::action::{Action, Opcode};
+use udp_isa::action::{Action, Opcode, OutBytes};
 use udp_isa::transition::{ExecKind, FALLBACK_SIGNATURE};
-use udp_isa::Reg;
-
-/// The lane's architectural loop-length cap (`loop_len` /
-/// `LoopCmp`'s limit clamp) — lengths at or above it either fault or
-/// are clamped, so a statically-unbounded operand is still *finitely*
-/// costed at runtime, but uselessly so; we refuse to certify instead.
-const LOOP_CAP: u32 = 1 << 26;
+use udp_isa::{Reg, LOOP_CAP};
 
 /// Maximum spread (max − min) of `InIdx` offsets written to a span
 /// mark register before amortization is refused. Offsets are tiny in
@@ -118,86 +113,26 @@ fn followed(graph: &ProgramGraph, reach: &ReachInfo, ai: usize) -> bool {
     }
 }
 
-/// Mirrors `EmitSpan::recognize` from the lane (shape + no-R15): the
-/// five-action prefix the compiled backend fuses. Used for the
-/// `fused_span_blocks` count and as the first gate for amortization.
-fn emit_span_shape(actions: &[(u32, Action)]) -> bool {
-    if actions.len() < 5 {
-        return false;
-    }
-    let a: Vec<&Action> = actions.iter().take(5).map(|(_, a)| a).collect();
-    let ok = a[0].op == Opcode::InIdx
-        && a[1].op == Opcode::Sub
-        && a[2].op == Opcode::LoopIn
-        && a[3].op == Opcode::EmitB
-        && a[4].op == Opcode::InIdx;
-    let regs = [
-        a[0].dst, a[1].dst, a[1].rref, a[1].src, a[2].rref, a[2].src, a[3].src, a[4].dst,
-    ];
-    ok && !regs.contains(&Reg::R15)
-}
-
-/// Mirrors the compiled backend's `recognize_bitemit`: the
-/// action-per-symbol emit idiom — a sequence of ≤ 2 constant
-/// `MovI rd; EmitBits rd` pairs (≤ 32 folded bits, ≤ 2 distinct
-/// destination registers), optionally ending in one `EmitB`, with
-/// `R13`/`R15` excluded throughout — and the single-`EmitB` block of
-/// the decoder (refill pass) shape. A conservative superset of what
-/// the bit-burst superop actually fuses: the compiler adds arc-level
-/// conditions (consuming successor, pass-plan shape) this per-block
-/// count does not see, so every fusable block is counted here. Used
-/// for the `fused_bitemit_blocks` certification count.
-fn bitemit_shape(actions: &[(u32, Action)]) -> bool {
-    let banned = |r: Reg| r == Reg::R13 || r == Reg::R15;
-    let mut len: u32 = 0;
-    let mut dsts: BTreeSet<u8> = BTreeSet::new();
-    let mut i = 0;
-    while i < actions.len() {
-        let a = &actions[i].1;
-        if a.op == Opcode::MovI && i + 1 < actions.len() {
-            let e = &actions[i + 1].1;
-            if e.op != Opcode::EmitBits || e.src != a.dst || banned(a.dst) {
-                return false;
-            }
-            len += u32::from(e.imm1.clamp(1, 16));
-            dsts.insert(a.dst.index());
-            if dsts.len() > 2 || len > 32 {
-                return false;
-            }
-            i += 2;
-        } else {
-            return a.op == Opcode::EmitB && i + 1 == actions.len() && !banned(a.src);
-        }
-    }
-    len > 0
-}
-
-/// Recognizes an *amortizable* span prefix: the `EmitSpan` shape plus
-/// the dataflow equalities that make the telescoping argument go
-/// through — the copied length is `(idx + off0) − mark` and the mark is
-/// rewritten to `idx + off4` on every visit.
+/// Recognizes an *amortizable* span prefix: the [`EmitSpan`] idiom the
+/// compiled backend fuses, plus the dataflow equalities that make the
+/// telescoping argument go through — the copied length is
+/// `(idx + off0) − mark` and the mark is rewritten to `idx + off4` on
+/// every visit.
 fn span_site(ai: usize, actions: &[(u32, Action)]) -> Option<SpanSite> {
-    if !emit_span_shape(actions) {
-        return None;
-    }
-    let a0 = &actions[0].1;
-    let a1 = &actions[1].1;
-    let a2 = &actions[2].1;
-    let a4 = &actions[4].1;
-    let mark = a1.src;
-    if a1.rref != a0.dst || a2.src != a1.dst || a4.dst != mark {
-        return None;
-    }
+    let prefix = actions.get(..EmitSpan::LEN)?;
+    let prefix: [Action; EmitSpan::LEN] = std::array::from_fn(|i| prefix[i].1);
+    let f = EmitSpan::recognize(&prefix)?;
+    let mark = f.s1;
     // R13 is implicitly rewritten by every dispatch; R15 already
-    // excluded by the shape check.
-    if mark == Reg::R13 {
+    // excluded by the recognizer.
+    if f.r1 != f.d0 || f.s2 != f.d1 || f.d4 != mark || mark == 13 {
         return None;
     }
     Some(SpanSite {
         arc: ai,
-        mark: mark.index(),
-        off0: sx(a0.imm),
-        off4: sx(a4.imm),
+        mark,
+        off0: i64::from(f.off0 as i32),
+        off4: i64::from(f.off4 as i32),
     })
 }
 
@@ -389,29 +324,11 @@ pub(crate) fn certify(
         }
     }
 
-    // Span amortization prep, plus the fused-shape block counts the
-    // compiled backend keys its recognizers on.
-    let mut sites: Vec<SpanSite> = Vec::new();
-    let mut fused_starts: BTreeSet<u32> = BTreeSet::new();
-    let mut bitemit_starts: BTreeSet<u32> = BTreeSet::new();
-    for ai in 0..graph.arcs.len() {
-        if !followed(graph, reach, ai) {
-            continue;
-        }
-        if let Some(b) = &graph.arcs[ai].block {
-            if emit_span_shape(&b.actions) {
-                fused_starts.insert(b.start);
-            }
-            if bitemit_shape(&b.actions) {
-                bitemit_starts.insert(b.start);
-            }
-            if let Some(site) = span_site(ai, &b.actions) {
-                sites.push(site);
-            }
-        }
-    }
-    cert.fused_span_blocks = fused_starts.len() as u32;
-    cert.fused_bitemit_blocks = bitemit_starts.len() as u32;
+    // Span amortization prep.
+    let sites: Vec<SpanSite> = (0..graph.arcs.len())
+        .filter(|&ai| followed(graph, reach, ai))
+        .filter_map(|ai| span_site(ai, &graph.arcs[ai].block.as_ref()?.actions))
+        .collect();
     let marks = amortized_marks(graph, reach, &sites);
     let amortized_arcs: HashSet<usize> = sites
         .iter()
@@ -481,21 +398,7 @@ pub(crate) fn certify(
                         "action block does not decode to a terminated sequence",
                     );
                 }
-                let nest = b
-                    .actions
-                    .iter()
-                    .filter(|(_, a)| {
-                        matches!(
-                            a.op,
-                            Opcode::LoopCmp
-                                | Opcode::LoopCmpM
-                                | Opcode::LoopCpy
-                                | Opcode::LoopOut
-                                | Opcode::LoopBack
-                                | Opcode::LoopIn
-                        )
-                    })
-                    .count() as u32;
+                let nest = b.actions.iter().filter(|(_, a)| a.op.charge().bulk).count() as u32;
                 max_nest = max_nest.max(nest);
 
                 let env0 = absint
@@ -605,7 +508,8 @@ pub(crate) fn certify(
 }
 
 /// Walks one action block accumulating `(cost, gain, out)` and
-/// reporting blockers, mirroring `Lane::exec`'s charging rules.
+/// reporting blockers. Cycles and output bytes come from the ISA charge
+/// table; bulk-loop lengths are bounded through the interval domain.
 fn walk_block(
     b: &crate::graph::ActionBlock,
     envs: &[RegEnv],
@@ -627,6 +531,7 @@ fn walk_block(
             env[r.index() as usize]
         }
     };
+    let code_store = "store may overwrite program code";
     for (i, &(addr, a)) in b.actions.iter().enumerate() {
         let env = envs.get(i).copied().unwrap_or([Interval::TOP; 16]);
         let conditional = sticky || shadow > 0;
@@ -638,119 +543,68 @@ fn walk_block(
                 shadow = a.imm1;
             }
         }
-        let simm = sx(a.imm);
+        let charge = a.op.charge();
+        cost += u64::from(charge.issue);
+        let mut n_hi = 0u32;
+        if amortized && i == 2 && a.op == LoopIn {
+            // Telescoped: the summed copy length is absorbed globally;
+            // one cycle covers this visit's rounding of the bulk charge.
+            cost += 1;
+        } else if charge.bulk {
+            let (len, what) = if matches!(a.op, LoopCmp | LoopCmpM) {
+                (
+                    env[14].hi,
+                    "loop-compare limit (R14) not statically bounded",
+                )
+            } else {
+                (
+                    rd(&env, a.src).hi,
+                    "bulk-loop length not statically bounded",
+                )
+            };
+            if len >= LOOP_CAP {
+                block(CostMetric::Cycles, Some(addr), what);
+                if charge.out == OutBytes::Loop {
+                    block(
+                        CostMetric::Output,
+                        Some(addr),
+                        "bulk-loop output length not statically bounded",
+                    );
+                }
+            }
+            n_hi = len.min(LOOP_CAP);
+            cost += charge.bulk_cycles(n_hi);
+        }
+        out += charge.out_bytes(u64::from(n_hi));
         match a.op {
-            SetSymT => {}
             BumpW => {
-                cost += 2;
                 let sv = rd(&env, a.src);
                 let lo = i64::from(a.imm) + 4 * i64::from(sv.lo);
                 if (lo as u64) < span_bytes || sv.is_top() {
-                    block(
-                        CostMetric::Cycles,
-                        Some(addr),
-                        "store may overwrite program code",
-                    );
+                    block(CostMetric::Cycles, Some(addr), code_store);
                 }
             }
             StoreW | StoreB => {
-                cost += 1;
                 let dv = rd(&env, a.dst);
-                let lo = i64::from(dv.lo) + simm;
+                let lo = i64::from(dv.lo) + sx(a.imm);
                 if lo < 0 || (lo as u64) < span_bytes || dv.is_top() {
-                    block(
-                        CostMetric::Cycles,
-                        Some(addr),
-                        "store may overwrite program code",
-                    );
+                    block(CostMetric::Cycles, Some(addr), code_store);
+                }
+            }
+            LoopCpy => {
+                let dv = rd(&env, a.dst);
+                if dv.is_top() || u64::from(dv.lo) < span_bytes {
+                    block(CostMetric::Cycles, Some(addr), code_store);
                 }
             }
             SetABase | SetAScale => {
-                cost += 1;
-                block(
-                    CostMetric::Cycles,
-                    Some(addr),
-                    "attach addressing mutated at runtime",
-                );
-                block(
-                    CostMetric::Output,
-                    Some(addr),
-                    "attach addressing mutated at runtime",
-                );
+                let why = "attach addressing mutated at runtime";
+                block(CostMetric::Cycles, Some(addr), why);
+                block(CostMetric::Output, Some(addr), why);
             }
-            LoopCmp | LoopCmpM => {
-                let limit = env[14].hi.min(LOOP_CAP);
-                if env[14].hi >= LOOP_CAP {
-                    block(
-                        CostMetric::Cycles,
-                        Some(addr),
-                        "loop-compare limit (R14) not statically bounded",
-                    );
-                }
-                cost += 1 + u64::from(limit.div_ceil(8));
-            }
-            LoopCpy | LoopOut | LoopBack | LoopIn => {
-                if amortized && i == 2 && a.op == LoopIn {
-                    // Telescoped: constant issue charge here, the
-                    // summed copy length is absorbed globally.
-                    cost += 2;
-                } else {
-                    let n_hi = rd(&env, a.src).hi;
-                    if n_hi >= LOOP_CAP {
-                        block(
-                            CostMetric::Cycles,
-                            Some(addr),
-                            "bulk-loop length not statically bounded",
-                        );
-                        if matches!(a.op, LoopOut | LoopBack | LoopIn) {
-                            block(
-                                CostMetric::Output,
-                                Some(addr),
-                                "bulk-loop output length not statically bounded",
-                            );
-                        }
-                    }
-                    let n_hi = u64::from(n_hi.min(LOOP_CAP));
-                    cost += 1 + n_hi.div_ceil(8);
-                    if matches!(a.op, LoopOut | LoopBack | LoopIn) {
-                        out += n_hi;
-                    }
-                    if a.op == LoopCpy {
-                        let dv = rd(&env, a.dst);
-                        if dv.is_top() || u64::from(dv.lo) < span_bytes {
-                            block(
-                                CostMetric::Cycles,
-                                Some(addr),
-                                "store may overwrite program code",
-                            );
-                        }
-                    }
-                }
-            }
-            ReadBits => {
-                cost += 1;
-                if !conditional {
-                    gain += i64::from((a.imm & 31).max(1));
-                }
-            }
-            RefillI => {
-                cost += 1;
-                gain -= i64::from((a.imm & 15).min(8));
-            }
-            EmitB => {
-                cost += 1;
-                out += 1;
-            }
-            EmitW => {
-                cost += 1;
-                out += 4;
-            }
-            EmitBits => {
-                cost += 1;
-                out += 2;
-            }
+            ReadBits if !conditional => gain += i64::from((a.imm & 31).max(1)),
+            RefillI => gain -= i64::from((a.imm & 15).min(8)),
             InIdx => {
-                cost += 1;
                 if let Some(info) = marks.get(&a.dst.index()) {
                     // A mark rewrite may move the mark backwards by up
                     // to the offset spread; charge the re-countable
@@ -760,7 +614,7 @@ fn walk_block(
                     out += spread;
                 }
             }
-            _ => cost += 1,
+            _ => {}
         }
     }
     (cost, gain, out)

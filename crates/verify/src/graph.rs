@@ -15,11 +15,7 @@ use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::ProgramImage;
 use udp_isa::action::{Action, ActionFormat, Opcode};
 use udp_isa::transition::{ExecKind, TransitionWord};
-use udp_isa::FALLBACK_SLOT;
-
-/// Upper bound on action-block length, mirroring the lane interpreter's
-/// runaway-block cap.
-pub const BLOCK_CAP: usize = 4096;
+use udp_isa::{BLOCK_CAP, FALLBACK_SLOT};
 
 /// Upper bound on an epsilon/fork chain walk.
 const CHAIN_CAP: u32 = 256;
