@@ -68,8 +68,9 @@ impl LayoutStats {
 /// A loadable UDP program.
 ///
 /// Equality is exact over every field, certificate included: the sim
-/// engine keys its prepared-kernel memo on it, so two images compare
-/// equal only when every run of one is a run of the other.
+/// engine keys its process-wide prepared-kernel cache on it, so two
+/// images compare equal only when every run of one is a run of the
+/// other.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramImage {
     /// The memory image, `stats.span_words` long, window-relative.

@@ -862,8 +862,12 @@ fn apply_record(
 /// The scheduler: wait for work, form a same-kernel wave, run it under
 /// the supervisor, deliver results. One thread — the device is one
 /// device; host-level parallelism lives inside the wave (the lane
-/// pool), not across waves.
+/// pool), not across waves. The scheduler keeps that one device for
+/// its lifetime: a local-addressing run never reads what an earlier
+/// wave left in device memory, so a reused device reports exactly what
+/// a fresh one would.
 fn scheduler_loop(shared: &Shared) {
+    let mut udp = Udp::new();
     loop {
         let wave = {
             let mut st = shared.lock();
@@ -901,7 +905,11 @@ fn scheduler_loop(shared: &Shared) {
         // closure consumes the jobs; a job the wave already delivered
         // to just gets a second message its consumed ticket never reads.
         let txs: Vec<mpsc::Sender<JobResult>> = jobs.iter().map(|j| j.tx.clone()).collect();
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_wave(shared, &kernel, jobs))) {
+        let wave = AssertUnwindSafe(|| run_wave(shared, &mut udp, &kernel, jobs));
+        if let Err(payload) = catch_unwind(wave) {
+            // The panic may have cut a copy-back short, leaving the
+            // device's zero marks stale: start over on a fresh device.
+            udp = Udp::new();
             let detail = panic_message(payload.as_ref());
             eprintln!("udp-serve: contained scheduler panic: {detail}");
             for tx in txs {
@@ -978,7 +986,7 @@ fn waited_ms(job: &PendingJob, now: Instant) -> u64 {
 /// Executes one wave end to end: dispatch-time shedding, the device
 /// run under the supervisor ladder, per-job outcome mapping, tenant
 /// accounting, and result delivery.
-fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
+fn run_wave(shared: &Shared, udp: &mut Udp, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
     let cfg = &shared.config;
     let now = Instant::now();
 
@@ -1076,8 +1084,9 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
     let inputs: Vec<&[u8]> = runnable.iter().map(|j| j.payload.as_slice()).collect();
     let staging = Staging::default();
     // The kernel was prepared once at registration; every wave of
-    // every job reuses its predecoded and compiled tables.
-    let report = Udp::new().run(&kernel.kernel, &inputs, &staging, &opts);
+    // every job reuses its predecoded and compiled tables, on the
+    // scheduler's one device.
+    let report = udp.run(&kernel.kernel, &inputs, &staging, &opts);
 
     let done = Instant::now();
     let mut st = shared.lock();

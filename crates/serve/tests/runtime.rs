@@ -345,3 +345,119 @@ fn stats_account_for_bytes_and_cycles() {
     assert!(stats.waves >= 1);
     rt.shutdown(Shutdown::Drain);
 }
+
+/// Counts input bytes in R2, emits the count's low byte, and stores it
+/// at window byte `offset` on every byte at or above 200. Bytes below
+/// 200 step to the next of `states` dense states, which spread the
+/// code over `states` × ~257 words.
+fn far_writer(offset: u16, states: usize) -> Arc<udp_asm::ProgramImage> {
+    use udp_asm::{LayoutOptions, ProgramBuilder, Target};
+    use udp_isa::action::{Action, Opcode};
+    use udp_isa::Reg;
+    let (r1, r2) = (Reg::new(1), Reg::new(2));
+    let mut b = ProgramBuilder::new();
+    let ids: Vec<_> = (0..states).map(|_| b.add_consuming_state()).collect();
+    b.set_entry(ids[0]);
+    for (i, &s) in ids.iter().enumerate() {
+        let next = ids[(i + 1) % states];
+        for sym in 0..200u16 {
+            b.labeled_arc(s, sym, Target::State(next), vec![]);
+        }
+        b.fallback_arc(
+            s,
+            Target::State(s),
+            vec![
+                Action::imm(Opcode::AddI, r2, r2, 1),
+                Action::imm(Opcode::EmitB, Reg::R0, r2, 0),
+                Action::imm(Opcode::MovI, r1, Reg::R0, offset),
+                Action::imm(Opcode::StoreW, r1, r2, 0),
+            ],
+        );
+    }
+    Arc::new(b.assemble(&LayoutOptions::with_banks(2)).unwrap())
+}
+
+#[test]
+fn a_reused_scheduler_device_reports_what_a_fresh_device_would() {
+    use udp_isa::mem::BANK_WORDS;
+    use udp_sim::{ChunkOutcome, ExecBackend, PreparedKernel, Staging, SupervisorOptions, Udp};
+    use udp_sim::{UdpRunOptions, UdpRunReport};
+    // "narrow" fits one bank and writes near its top; "wide" needs two
+    // and writes into its second.
+    let kernels = [
+        ("narrow", far_writer(15_000, 1)),
+        ("wide", far_writer(30_000, 20)),
+    ];
+    assert!(kernels[0].1.stats.span_words <= BANK_WORDS);
+    assert!((BANK_WORDS + 1..=2 * BANK_WORDS).contains(&kernels[1].1.stats.span_words));
+    for backend in [ExecBackend::Interpreter, ExecBackend::Compiled] {
+        let rt = ServeRuntime::start(ServeConfig {
+            max_wave: 8,
+            backend: Some(backend),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handle = rt.handle();
+        for (name, image) in &kernels {
+            handle
+                .register_kernel(*name, Arc::clone(image), None)
+                .unwrap();
+        }
+        // Each kernel alone on a fresh device, as registered.
+        let alone = |k: usize, payload: &[u8]| -> UdpRunReport {
+            let (name, image) = &kernels[k];
+            let mut image = (**image).clone();
+            image.cert = handle.kernel_cert(name);
+            let opts = UdpRunOptions {
+                banks_per_lane: k + 1,
+                supervise: Some(SupervisorOptions::default()),
+                backend,
+                ..UdpRunOptions::default()
+            };
+            Udp::new()
+                .run(
+                    &PreparedKernel::new(Arc::new(image)),
+                    &[payload],
+                    &Staging::default(),
+                    &opts,
+                )
+                .unwrap()
+        };
+        let mut emitted = 0;
+        for round in 0..8usize {
+            let k = round % 2;
+            let payloads: Vec<Vec<u8>> = (0..1 + round % 5)
+                .map(|j| (0..3 + 7 * j + round).map(|x| (x * 37 + j) as u8).collect())
+                .collect();
+            // One wave per round: queue every job before the scheduler
+            // looks.
+            handle.pause();
+            let tickets: Vec<_> = payloads
+                .iter()
+                .map(|p| {
+                    let spec = JobSpec::new("t", kernels[k].0, p.clone());
+                    handle.submit(spec).unwrap()
+                })
+                .collect();
+            handle.resume();
+            for (ticket, payload) in tickets.into_iter().zip(&payloads) {
+                let out = ticket.wait().unwrap();
+                let want = alone(k, payload);
+                assert_eq!(want.health.outcomes, vec![ChunkOutcome::Clean]);
+                assert_eq!(out.outcome, JobOutcome::Clean, "{backend:?} round {round}");
+                assert_eq!(
+                    out.output, want.lanes[0].output,
+                    "{backend:?} round {round}"
+                );
+                assert_eq!(
+                    out.cycles, want.lanes[0].cycles,
+                    "{backend:?} round {round}"
+                );
+                emitted += out.output.len();
+            }
+        }
+        assert!(emitted > 0);
+        assert_eq!(handle.stats().waves, 8);
+        rt.shutdown(Shutdown::Drain);
+    }
+}

@@ -5,7 +5,7 @@ use crate::error::{FaultKind, SimError};
 use crate::lane::{Lane, LaneConfig, LaneReport, LaneStatus};
 use crate::memory::LocalMemory;
 use crate::pool::{self, RunParams};
-use crate::prepared::PreparedKernel;
+use crate::prepared::{self, PreparedKernel};
 use crate::stream::{BitStream, OutputSink};
 use crate::supervisor::{self, RunHealth, SupervisorOptions};
 use std::sync::Arc;
@@ -219,13 +219,14 @@ impl UdpRunReport {
 }
 
 /// The UDP device: 64 lanes over a 1 MB multi-bank local memory.
+///
+/// A device is only its memory: prepared kernels live apart from it
+/// (the caller's [`PreparedKernel`], or the process-wide cache behind
+/// the image-taking entry points), so a fresh device runs a program
+/// prepared by another at no extra cost.
 #[derive(Debug)]
 pub struct Udp {
     mem: LocalMemory,
-    /// The kernel the image-taking entry points prepared last, reused
-    /// while callers keep passing an equal image (exact
-    /// [`ProgramImage`] equality, certificate included).
-    memo: Option<Arc<PreparedKernel>>,
     /// Per-bank zero marks: every word of bank `b` at a bank offset of
     /// `high[b]` or more is zero. Local-addressing copy-back writes
     /// only each window's dirty prefix and zeroes just what these say
@@ -238,7 +239,6 @@ impl Udp {
     pub fn new() -> Self {
         Udp {
             mem: LocalMemory::new(),
-            memo: None,
             high: [0; NUM_BANKS],
         }
     }
@@ -261,10 +261,12 @@ impl Udp {
     /// whose execution panics degrades to [`LaneStatus::Fault`] in its
     /// own report while the sibling chunks' reports survive.
     ///
-    /// [`Udp::run`] over a memoized [`PreparedKernel`]: the device keeps
-    /// the kernel it prepared last and reuses it while `image` compares
-    /// equal, so a caller streaming many calls through one program
-    /// predecodes and compiles it once.
+    /// [`Udp::run`] over a cached [`PreparedKernel`]: the process keeps
+    /// the kernels it prepared last in one LRU table shared by every
+    /// device and thread, keyed by exact [`ProgramImage`] equality
+    /// (certificate included). A caller streaming many calls through a
+    /// program predecodes and compiles it once per process, even on a
+    /// fresh device per call.
     pub fn try_run_data_parallel(
         &mut self,
         image: &ProgramImage,
@@ -272,17 +274,17 @@ impl Udp {
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
-        let kernel = self.memoized(image, None);
+        let kernel = prepared::CACHE.get(image, None);
         self.run(&kernel, inputs, staging, opts)
     }
 
     /// [`Udp::try_run_data_parallel`] with a caller-provided predecoded
     /// table, for callers that already hold one. The table is only
-    /// consulted when the memo misses: it is shared if its raw words
-    /// are exactly `image.words` and replaced by a fresh predecode
-    /// otherwise, so a table of another image — even one of the same
-    /// length — can never run in this image's place. Callers that own
-    /// the kernel should build a [`PreparedKernel`] and call
+    /// consulted when the process-wide cache misses: it is shared if its
+    /// raw words are exactly `image.words` and replaced by a fresh
+    /// predecode otherwise, so a table of another image — even one of
+    /// the same length — can never run in this image's place. Callers
+    /// that own the kernel should build a [`PreparedKernel`] and call
     /// [`Udp::run`] instead.
     pub fn try_run_data_parallel_shared(
         &mut self,
@@ -292,29 +294,8 @@ impl Udp {
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
-        let kernel = self.memoized(image, Some(decoded));
+        let kernel = prepared::CACHE.get(image, Some(decoded));
         self.run(&kernel, inputs, staging, opts)
-    }
-
-    /// The memoized kernel for `image`, preparing (and remembering) a
-    /// new one when the last one was prepared from a different image.
-    fn memoized(
-        &mut self,
-        image: &ProgramImage,
-        decoded: Option<&Arc<DecodedProgram>>,
-    ) -> Arc<PreparedKernel> {
-        match &self.memo {
-            Some(k) if k.image() == image => Arc::clone(k),
-            _ => {
-                let image = Arc::new(image.clone());
-                let kernel = Arc::new(match decoded {
-                    Some(d) => PreparedKernel::with_decoded(image, d),
-                    None => PreparedKernel::new(image),
-                });
-                self.memo = Some(Arc::clone(&kernel));
-                kernel
-            }
-        }
     }
 
     /// Runs a prepared kernel data-parallel over `inputs`, one chunk

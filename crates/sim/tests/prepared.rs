@@ -1,8 +1,9 @@
-//! Prepared kernels and the device's run memo: a memoized kernel is
-//! never reused for a different image, a caller's predecoded table is
-//! never trusted for another image, copy-back leaves device memory
-//! exactly as full-window copies would, and the calling thread's pool
-//! worker degrades a panicking chunk like any other worker.
+//! Prepared kernels and the process-wide prepared-kernel cache: a
+//! cached kernel is never reused for a different image, a caller's
+//! predecoded table is never trusted for another image, copy-back
+//! leaves device memory exactly as full-window copies would, and the
+//! calling thread's pool worker degrades a panicking chunk like any
+//! other worker.
 
 use std::sync::{Arc, Mutex};
 use udp_asm::{LayoutOptions, ProgramBuilder, ProgramImage, ResourceCert, Target};

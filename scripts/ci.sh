@@ -21,10 +21,19 @@ echo "== perfbench correctness smoke (device-small, 2 s) =="
 # backends, pooled and sequential: every report must match the CPU
 # references and the first report of its input set, and each program's
 # output digest must match perfbench/digests.txt. Exits nonzero on any
-# mismatch, so the prepared-kernel memo is held to the same outputs as
-# a fresh device. The measured numbers are not gated here.
+# mismatch, so the process-wide prepared-kernel cache is held to the
+# same outputs as a fresh preparation. The measured numbers are not
+# gated here.
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload device-small --seed 1 --seconds 2 --trace 0
+
+echo "== perfbench correctness smoke (serve-journaled, 2 s) =="
+# csv rows served over the Unix socket by a journaled runtime (one
+# scheduler-held device for every wave), across a warm restart: every
+# served row must match the CPU csv framing. Exits nonzero on any
+# mismatch or failed operation; no number is gated.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-journaled --seed 1 --seconds 2 --trace 0
 
 echo "== backend matrix: full suite on the compiled backend (DESIGN.md §2.6.3) =="
 # UDP_SIM_BACKEND=compiled flips every default-constructed run to the
