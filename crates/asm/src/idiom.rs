@@ -1,7 +1,9 @@
-//! Action-block idioms the compiled backend fuses into superops
-//! (DESIGN.md §2.6.3–4). One recognizer per idiom: the simulator's
-//! compiled backend fuses what these match, and the verifier's span
-//! amortization builds on the same match.
+//! The action-block idiom the compiled backend fuses into a superop
+//! (DESIGN.md §2.6.3). The simulator's compiled backend fuses what
+//! [`EmitSpan::recognize`] matches, and the verifier's span
+//! amortization builds on the same match. Action-per-symbol blocks
+//! need no recognizer: the compiled backend lowers any block of
+//! [`udp_isa::Action::fusable`] actions (§2.6.4).
 
 use udp_isa::action::{issue_cycles, Action, Opcode};
 use udp_isa::Reg;
@@ -101,75 +103,6 @@ impl EmitSpan {
     }
 }
 
-/// What [`recognize_bitemit`] extracts from a fusable block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitEmitShape {
-    /// Constant output bits (MSB-first), folded from the `MovI`/`EmitBits`
-    /// pairs.
-    pub code: u32,
-    /// Number of bits in `code`; 0 when the block is a lone `EmitB`.
-    pub len: u8,
-    /// Final register writes of the block (≤ 2 distinct registers).
-    pub writes: [(u8, u32); 2],
-    /// Valid entries of `writes`.
-    pub nwrites: u8,
-    /// Trailing dynamic `EmitB src, imm`, as `(src, imm)`.
-    pub dyn_byte: Option<(u8, u16)>,
-}
-
-/// Recognizes the action-per-symbol emit idiom: a sequence of ≤ 2
-/// `MovI rd, imm; EmitBits rd, w` constant pairs (folded into one
-/// ≤ 32-bit code, ≤ 2 distinct destination registers), optionally
-/// ending in a single `EmitB src, imm` (kept dynamic — it reads `src`
-/// live). A lone `EmitB` matches too (the refill decoder's emit block).
-/// Any register the block touches must be neither `R13` (a burst may
-/// defer the symbol latch) nor `R15` (reads the stream cursor).
-pub fn recognize_bitemit(acts: &[Action]) -> Option<BitEmitShape> {
-    let mut code: u64 = 0;
-    let mut len: u32 = 0;
-    let mut writes: Vec<(u8, u32)> = Vec::new();
-    let mut dyn_byte = None;
-    let mut i = 0;
-    let banned = |r: Reg| r == Reg::R13 || r == Reg::R15;
-    while i < acts.len() {
-        let a = &acts[i];
-        if a.op == Opcode::MovI && i + 1 < acts.len() {
-            let e = &acts[i + 1];
-            if e.op != Opcode::EmitBits || e.src != a.dst || banned(a.dst) {
-                return None;
-            }
-            let w = u32::from(e.imm1.clamp(1, 16));
-            code = (code << w) | u64::from(u32::from(a.imm) & ((1u32 << w) - 1));
-            len += w;
-            writes.retain(|&(r, _)| r != a.dst.index());
-            writes.push((a.dst.index(), u32::from(a.imm)));
-            if writes.len() > 2 || len > 32 {
-                return None;
-            }
-            i += 2;
-        } else if a.op == Opcode::EmitB && i + 1 == acts.len() && !banned(a.src) {
-            dyn_byte = Some((a.src.index(), a.imm));
-            break;
-        } else {
-            return None;
-        }
-    }
-    if len == 0 && dyn_byte.is_none() {
-        return None;
-    }
-    let mut ws = [(0u8, 0u32); 2];
-    for (slot, &w) in ws.iter_mut().zip(&writes) {
-        *slot = w;
-    }
-    Some(BitEmitShape {
-        code: code as u32,
-        len: len as u8,
-        writes: ws,
-        nwrites: writes.len() as u8,
-        dyn_byte,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,33 +137,5 @@ mod tests {
         let mut swapped = block;
         swapped.swap(3, 4);
         assert!(EmitSpan::recognize(&swapped).is_none());
-    }
-
-    #[test]
-    fn bitemit_folds_pairs_and_keeps_a_trailing_emit_dynamic() {
-        let r1 = Reg::new(1);
-        let pairs = vec![
-            Action::imm(Opcode::MovI, r1, Reg::R0, 0b101),
-            Action::imm2(Opcode::EmitBits, Reg::R0, r1, 3, 0),
-            Action::imm(Opcode::MovI, r1, Reg::R0, 0b1),
-            Action::imm2(Opcode::EmitBits, Reg::R0, r1, 2, 0),
-        ];
-        let sh = recognize_bitemit(&pairs).expect("pairs");
-        assert_eq!((sh.code, sh.len, sh.nwrites), (0b10101, 5, 1));
-        assert_eq!(sh.writes[0], (1, 1));
-        assert_eq!(sh.dyn_byte, None);
-
-        let emit = Action::imm(Opcode::EmitB, Reg::R0, Reg::new(12), 7);
-        let mut tailed = pairs.clone();
-        tailed.push(emit);
-        assert_eq!(recognize_bitemit(&tailed).unwrap().dyn_byte, Some((12, 7)));
-        let lone = recognize_bitemit(&[emit]).expect("lone EmitB");
-        assert_eq!((lone.len, lone.dyn_byte), (0, Some((12, 7))));
-
-        assert!(recognize_bitemit(&[]).is_none());
-        let mut banned = pairs;
-        banned[0].dst = Reg::R13;
-        banned[1].src = Reg::R13;
-        assert!(recognize_bitemit(&banned).is_none());
     }
 }

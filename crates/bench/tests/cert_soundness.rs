@@ -17,7 +17,6 @@
 //! verifier-clean programs.
 
 use proptest::prelude::*;
-use udp_asm::idiom::recognize_bitemit;
 use udp_asm::{ProgramImage, Target};
 use udp_compilers::corpus::{assemble_smallest, corpus};
 use udp_isa::action::Action;
@@ -137,11 +136,11 @@ fn certified_bounds_hold_on_generic_inputs_across_backends() {
 
 /// The bit-burst superop (DESIGN.md §2.6.4) defers every counter to a
 /// bulk sync at burst exit; the certified claim is pointwise per lane.
-/// This test pins that the certified kernels with a block the shared
-/// bit-emit recognizer matches — the ones the compiled backend runs
-/// through the bit-burst loop — stay inside their bounds on workload-
-/// realistic inputs (compressible text for the encoder, an actually
-/// encoded bit stream for the refill decoder), not just generic noise.
+/// This test pins that the certified kernels with a block of
+/// `Action::fusable` actions — the blocks the compiled backend lowers
+/// into the bit-burst loop — stay inside their bounds on workload-
+/// realistic inputs (compressible text for the encoders, an actually
+/// encoded bit stream for the decoders), not just generic noise.
 #[test]
 fn bit_burst_fused_kernels_stay_in_certified_bounds() {
     let images = certified_images();
@@ -151,10 +150,11 @@ fn bit_burst_fused_kernels_stay_in_certified_bounds() {
     let mut exercised = 0usize;
     for (name, img) in &images {
         let graph = udp_verify::ProgramGraph::decode(img);
-        let fuses = graph.arcs.iter().filter_map(|a| a.block.as_ref()).any(|b| {
-            let acts: Vec<Action> = b.actions.iter().map(|&(_, a)| a).collect();
-            recognize_bitemit(&acts).is_some()
-        });
+        let fuses = graph
+            .arcs
+            .iter()
+            .filter_map(|a| a.block.as_ref())
+            .any(|b| b.actions.iter().all(|(_, a)| a.fusable()));
         if !fuses {
             continue;
         }
@@ -167,11 +167,12 @@ fn bit_burst_fused_kernels_stay_in_certified_bounds() {
         let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
         assert_bounds_hold(name, img, &refs);
     }
-    // Encoder plus the three bounded decoder designs: if this shrinks,
-    // either certification or the bit-emit recognizer regressed.
+    // The six bit-packers, huffman-encode, the four bounded Huffman
+    // decoders and counted: if this shrinks, either certification or
+    // the ISA's fusability flags regressed.
     assert!(
-        exercised >= 4,
-        "only {exercised} certified kernels have a fusable bit-emit block"
+        exercised >= 12,
+        "only {exercised} certified kernels have a fusable block"
     );
 }
 

@@ -36,7 +36,7 @@ use udp_codecs::{Histogram, TriggerFsm};
 
 /// Text the Huffman entries build their code tree from — skewed enough
 /// to produce a multi-level tree with both short and long codes.
-const HUFFMAN_SAMPLE: &[u8] =
+pub const HUFFMAN_SAMPLE: &[u8] =
     b"aaaaaaaaaaaaaaaabbbbbbbbccccddeeffgghh the quick brown fox jumps over the lazy dog";
 
 /// Regexes the DFA-family entries are determinized from.

@@ -40,7 +40,8 @@ fn texty_bytes(n: usize, seed: u64) -> Vec<u8> {
 
 /// The input chunks every corpus program is differentially tested on.
 /// Mixed sizes (empty, tiny, page-ish) exercise the burst loop's entry,
-/// exit, and degenerate paths.
+/// exit, and degenerate paths; each family also gets input it accepts
+/// to the end, so its hot loop runs over a whole chunk.
 fn generic_inputs(name: &str) -> Vec<Vec<u8>> {
     let mut chunks = vec![
         Vec::new(),
@@ -54,7 +55,82 @@ fn generic_inputs(name: &str) -> Vec<Vec<u8>> {
     if name == "json" || name == "xml" {
         chunks.push(texty_bytes(8_000, 91));
     }
+    if name == "json" {
+        chunks.push(udp_workloads::ndjson_events(8_000, 5));
+    }
+    if name == "xml" {
+        chunks.push(udp_workloads::xml_records(8_000, 5));
+    }
+    if let Some(w) = name.strip_prefix("bitpack-enc-w") {
+        // Codes that fit the width; a wider one is a dispatch miss.
+        let width: u32 = w.parse().unwrap();
+        let mask = ((1u32 << width) - 1) as u8;
+        chunks.push(pseudo_bytes(4096, 3).iter().map(|b| b & mask).collect());
+    }
+    if name.starts_with("dict") {
+        let vocab = vocabulary(name);
+        let picks = pseudo_bytes(1500, 17);
+        let tokens: Vec<&[u8]> = picks
+            .iter()
+            .map(|&p| vocab[usize::from(p) % vocab.len()].as_slice())
+            .collect();
+        chunks.push(udp_compilers::dict::join_tokens(&tokens));
+    }
+    if name == "huffman-encode" {
+        // Symbols of the alphabet the encoder's code tree was built on.
+        let sample = udp_compilers::corpus::HUFFMAN_SAMPLE;
+        chunks.push(
+            pseudo_bytes(4096, 29)
+                .iter()
+                .map(|&b| sample[usize::from(b) % sample.len()])
+                .collect(),
+        );
+    }
     chunks
+}
+
+/// The dictionary a `dict*` corpus program encodes against: distinct
+/// lowercase tokens, as many as give the staged table the hash width
+/// the program was compiled for.
+fn vocabulary(name: &str) -> Vec<Vec<u8>> {
+    let n = match name {
+        "dict-k4" => 4,
+        "dict-k11" => 600,
+        _ => 48,
+    };
+    (0..n)
+        .map(|i: usize| {
+            let len = 3 + i % 7;
+            (0..len)
+                .map(|j| b'a' + ((i * 7 + j * 13 + i / 26) % 26) as u8)
+                .chain(format!("{i}").into_bytes())
+                .collect()
+        })
+        .collect()
+}
+
+/// The staging a program's input needs: the `dict*` programs probe a
+/// host-built dictionary table in lane memory.
+fn staging(name: &str) -> Staging {
+    if !name.starts_with("dict") {
+        return Staging::default();
+    }
+    let st = udp_compilers::dict::stage_dictionary(&vocabulary(name));
+    Staging {
+        segments: st.segments,
+        regs: st.regs,
+    }
+}
+
+/// Programs the compiled backend compiles with at least one block it
+/// lowers into the bit-burst loop (every action `Action::fusable`).
+fn fuses(img: &udp_asm::ProgramImage) -> bool {
+    udp_sim::compiled_decline_reason(img).is_none()
+        && udp_verify::ProgramGraph::decode(img)
+            .arcs
+            .iter()
+            .filter_map(|a| a.block.as_ref())
+            .any(|b| b.actions.iter().all(|(_, a)| a.fusable()))
 }
 
 fn opts(backend: ExecBackend, banks: usize, lane: LaneConfig) -> UdpRunOptions {
@@ -73,9 +149,17 @@ fn diff_corpus(lane: &LaneConfig) -> Vec<(String, Vec<LaneStatus>)> {
     let mut statuses = Vec::new();
     for (name, pb) in corpus() {
         let img = assemble_smallest(&pb, 64).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let staging = staging(&name);
+        let staged_words = staging
+            .segments
+            .iter()
+            .map(|(off, bytes)| (*off as usize + bytes.len()).div_ceil(4))
+            .max()
+            .unwrap_or(0);
         let banks = img
             .stats
             .span_words
+            .max(staged_words)
             .div_ceil(BANK_WORDS)
             .next_power_of_two();
         let chunks = generic_inputs(&name);
@@ -83,13 +167,13 @@ fn diff_corpus(lane: &LaneConfig) -> Vec<(String, Vec<LaneStatus>)> {
         let reference = Udp::new().try_run_data_parallel(
             &img,
             &inputs,
-            &Staging::default(),
+            &staging,
             &opts(ExecBackend::Interpreter, banks, lane.clone()),
         );
         let compiled = Udp::new().try_run_data_parallel(
             &img,
             &inputs,
-            &Staging::default(),
+            &staging,
             &opts(ExecBackend::Compiled, banks, lane.clone()),
         );
         let (reference, compiled) = match (reference, compiled) {
@@ -112,6 +196,25 @@ fn diff_corpus(lane: &LaneConfig) -> Vec<(String, Vec<LaneStatus>)> {
 fn corpus_reports_are_bit_identical_across_backends() {
     let statuses = diff_corpus(&LaneConfig::default());
     assert!(statuses.len() >= 30, "corpus shrank to {}", statuses.len());
+    // Non-vacuity: every program whose blocks the compiled backend
+    // lowers runs at least one whole chunk on both backends (their
+    // reports are equal), so the fused loop ran to the end of input.
+    let mut fused = 0;
+    for (name, pb) in corpus() {
+        let img = assemble_smallest(&pb, 64).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if !fuses(&img) {
+            continue;
+        }
+        fused += 1;
+        let (_, lanes) = statuses.iter().find(|(n, _)| *n == name).unwrap();
+        let chunks = generic_inputs(&name);
+        let whole = lanes
+            .iter()
+            .zip(&chunks)
+            .any(|(s, c)| c.len() >= 1024 && *s == LaneStatus::InputExhausted);
+        assert!(whole, "{name}: no chunk ran to the end of its input");
+    }
+    assert!(fused >= 15, "only {fused} corpus programs fuse");
 }
 
 #[test]

@@ -330,6 +330,83 @@ impl Opcode {
     }
 }
 
+/// What one action may observe or disturb beyond the register file and
+/// its output bytes: the facts a backend that keeps the stream cursor,
+/// the output and the lane status in locals across many dispatches
+/// needs to know before it runs the action in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Effects {
+    /// The action reads the input stream — its cursor (`R15`, `InIdx`,
+    /// `Report`, `AtEof`) or its bytes (`PeekAt`, `PeekW`, the stream
+    /// loops) — or moves the cursor (`ReadBits`, `SkipB`, `RefillI`).
+    pub stream: bool,
+    /// The action reads the output length (`OutIdx`, and `LoopBack`'s
+    /// distance check).
+    pub out_len: bool,
+    /// The action can end the lane: halt, fault (a bad symbol width, a
+    /// refill underflow, a loop-length check) or exhaust the input.
+    pub can_end: bool,
+    /// The action rewrites a base register, the symbol width, or the
+    /// walk of its own action block (`Set*`, `SkipIf*`).
+    pub control: bool,
+}
+
+impl Opcode {
+    /// What this opcode may observe or disturb (see [`Effects`]).
+    #[inline]
+    pub const fn effects(self) -> Effects {
+        use Opcode::*;
+        Effects {
+            stream: matches!(
+                self,
+                InIdx
+                    | ReadBits
+                    | PeekBits
+                    | SkipB
+                    | RefillI
+                    | Report
+                    | AtEof
+                    | PeekAt
+                    | PeekW
+                    | LoopCmp
+                    | LoopCmpM
+                    | LoopIn
+            ),
+            out_len: matches!(self, OutIdx | LoopBack),
+            can_end: matches!(
+                self,
+                Halt | SetSym
+                    | SetSymT
+                    | ReadBits
+                    | RefillI
+                    | LoopCpy
+                    | LoopOut
+                    | LoopBack
+                    | LoopIn
+            ),
+            control: matches!(
+                self,
+                SetSym | SetSymT | SetBase | SetABase | SetAScale | SkipIfZ | SkipIfNz
+            ),
+        }
+    }
+}
+
+impl Action {
+    /// True when this action can run inside a dispatch loop that defers
+    /// the stream cursor, the lane status, the output accumulator and
+    /// the `R13` symbol latch: it has none of the [`Effects`], writes no
+    /// memory, has a fixed issue cost (no bulk loop), names `R15` in no
+    /// operand field, and does not name `R13` as its destination.
+    pub fn fusable(&self) -> bool {
+        let e = self.op.effects();
+        let c = self.op.charge();
+        let touches_r15 = [self.dst, self.rref, self.src].contains(&Reg::R15);
+        !(e.stream || e.out_len || e.can_end || e.control || c.writes_mem || c.bulk || touches_r15)
+            && self.dst != Reg::R13
+    }
+}
+
 /// Summed issue cycles of an action sequence.
 pub const fn issue_cycles(ops: &[Opcode]) -> u64 {
     let mut sum = 0;

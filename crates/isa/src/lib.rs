@@ -38,7 +38,7 @@ pub mod symbol;
 pub mod transition;
 
 pub use action::{
-    issue_cycles, Action, ActionFormat, Charge, Opcode, OutBytes, BLOCK_CAP, LOOP_CAP,
+    issue_cycles, Action, ActionFormat, Charge, Effects, Opcode, OutBytes, BLOCK_CAP, LOOP_CAP,
 };
 pub use mem::{AddressingMode, BANK_BYTES, BANK_WORDS, FALLBACK_SLOT, NUM_BANKS, TOTAL_BYTES};
 pub use reg::Reg;

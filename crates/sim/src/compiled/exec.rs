@@ -8,8 +8,8 @@
 //! report is bit-identical either way.
 
 use super::{
-    CachedBlock, CompiledProgram, PassPlan, BITEMIT_NONE, EXIT_NO_TRANSITION, PAYLOAD_MASK,
-    TAG_EXIT, TAG_GENERAL, TAG_MISS,
+    CachedBlock, CompiledProgram, FusedOp, PassPlan, BITEMIT_NONE, EXIT_NO_TRANSITION,
+    PAYLOAD_MASK, TAG_EXIT, TAG_GENERAL, TAG_MISS,
 };
 use crate::error::FaultKind;
 use crate::lane::{cap_status, CodeTables, Lane, LaneConfig, LaneReport, LaneStatus};
@@ -18,6 +18,7 @@ use crate::stream::{BitStream, OutputSink};
 use std::sync::Arc;
 use udp_asm::idiom::EmitSpan;
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
+use udp_isa::action::Opcode;
 use udp_isa::transition::{ExecKind, TransitionWord};
 
 /// Where the compiled loop goes after one dispatch.
@@ -209,8 +210,12 @@ impl Ctx<'_, '_> {
             {
                 // The byte-burst below cannot run. The bit-burst loop
                 // handles any alignment and any 1–8-bit symbol width,
-                // as long as the state has a fused dispatch row.
-                if self.cp.bit_tables[st].is_some() {
+                // as long as the state has a fused dispatch row and the
+                // attach bases its blocks were resolved against hold.
+                if self.cp.bit_tables[st].is_some()
+                    && self.lane.abase == self.cp.abase
+                    && self.lane.ascale == self.cp.ascale
+                {
                     return self.bit_burst(st, cap, budget, chaos_panic, chaos_fault);
                 }
                 // Otherwise single-step (cap was checked by the caller,
@@ -467,18 +472,20 @@ impl Ctx<'_, '_> {
         let mut cur = st;
         // Deferred bookkeeping, synced in bulk at every exit: cycles
         // run live (the cap compares against them), the rest
-        // accumulate. The R13 symbol latch is deferred as
+        // accumulate as counts the totals derive from — every consume
+        // dispatch, pass step and action is one counted read, a miss
+        // one more. The R13 symbol latch is deferred as
         // (last_sym, syms) like the byte-burst's.
         let mut cyc = self.lane.cycles;
-        let mut disp = 0u64;
+        let mut syms = 0u64;
+        let mut passes = 0u64;
         let mut misses = 0u64;
-        let mut reads = 0u64;
         let mut acts = 0u64;
         let mut last_sym = 0u32;
-        let mut syms = 0u64;
         // The output's sub-byte pending bits move into a local 64-bit
-        // accumulator; worst case per symbol is 7 pending + 32 code +
-        // 7 pad + 8 dynamic = 54 bits, drained back under 8 after.
+        // accumulator. A record emits at most `MAX_RECORD_BITS`, so
+        // draining to under a byte before any record that could
+        // overflow keeps every record's bits in the word.
         let (mut acc, mut nacc) = self.out.take_pending();
         let exit = loop {
             let Some(tbl) = cp.bit_tables[cur].as_deref() else {
@@ -493,17 +500,14 @@ impl Ctx<'_, '_> {
                 break BitExit::Eof;
             }
             let s = crate::stream::extract_bits(data, bitpos, sym_bits);
-            let ei = tbl[s as usize];
+            let ei = tbl[(s & 0xFF) as usize];
             if ei == BITEMIT_NONE {
                 break BitExit::NotFused;
             }
             let e = &cp.bitemits[usize::from(ei)];
-            let miss = u64::from(e.miss);
             bitpos += wsym;
-            cyc += 1 + miss;
-            disp += 1;
-            misses += miss;
-            reads += 1 + miss;
+            cyc += 1 + u64::from(e.miss);
+            misses += u64::from(e.miss);
             last_sym = s;
             syms += 1;
             if let Some(mid) = e.pass_mid {
@@ -514,8 +518,7 @@ impl Ctx<'_, '_> {
                     break BitExit::MidCap(mid);
                 }
                 cyc += 1;
-                disp += 1;
-                reads += 1;
+                passes += 1;
                 if u64::from(e.refill) > bitpos {
                     break BitExit::Underflow {
                         mid,
@@ -524,34 +527,33 @@ impl Ctx<'_, '_> {
                 }
                 bitpos -= u64::from(e.refill);
             }
-            for &(r, v) in &e.writes[..usize::from(e.nwrites)] {
-                self.lane.regs[usize::from(r)] = v;
+            let b = e.block;
+            if b.len > 0 {
+                // Drain only when this record could overflow the
+                // accumulator: whole bytes out, under a byte stays.
+                if nacc + u32::from(b.out_bits) > 64 {
+                    let rem = nacc & 7;
+                    self.out
+                        .extend_be_bytes(acc >> rem, ((nacc - rem) >> 3) as usize);
+                    acc &= (1u64 << rem) - 1;
+                    nacc = rem;
+                }
+                let regs = &mut self.lane.regs;
+                regs[13] = s;
+                let at = b.at as usize;
+                for op in &cp.ops[at..at + usize::from(b.len)] {
+                    run_op(
+                        op,
+                        regs,
+                        self.mem,
+                        &mut self.lane.accept,
+                        &mut acc,
+                        &mut nacc,
+                    );
+                }
             }
-            let na = u64::from(e.nacts);
-            cyc += na;
-            reads += na;
-            acts += na;
-            if e.len > 0 {
-                acc = (acc << e.len) | u64::from(e.code);
-                nacc += u32::from(e.len);
-            }
-            if let Some((src, imm)) = e.dyn_byte {
-                // `EmitB` semantics: zero-pad the pending bits to a
-                // byte boundary, then append the dynamic byte.
-                let b = self.lane.regs[usize::from(src)].wrapping_add(u32::from(imm)) as u8;
-                let pad = (8 - (nacc & 7)) & 7;
-                acc <<= pad;
-                nacc += pad;
-                acc = (acc << 8) | u64::from(b);
-                nacc += 8;
-            }
-            if nacc >= 8 {
-                let rem = nacc & 7;
-                self.out
-                    .extend_be_bytes(acc >> rem, ((nacc - rem) >> 3) as usize);
-                acc &= (1u64 << rem) - 1;
-                nacc = rem;
-            }
+            cyc += u64::from(b.issue);
+            acts += u64::from(b.nacts);
             cur = e.next as usize;
         };
         // Sync: same totals the per-dispatch bookkeeping would have
@@ -559,17 +561,20 @@ impl Ctx<'_, '_> {
         // lane's base/kind at the state the burst stands at, and the
         // sub-byte remainder handed back to the sink.
         self.lane.cycles = cyc;
-        self.lane.dispatches += disp;
+        self.lane.dispatches += syms + passes;
         self.lane.fallback_misses += misses;
         self.lane.actions_run += acts;
-        self.mem.add_reads(reads);
+        self.mem.add_reads(syms + passes + misses + acts);
         if syms > 0 {
             self.lane.regs[13] = last_sym;
         }
         self.stream.set_bit_index(bitpos);
         self.lane.base = cp.states[cur].base;
         self.lane.kind = cp.states[cur].kind;
-        self.out.put_pending(acc, nacc);
+        let rem = nacc & 7;
+        self.out
+            .extend_be_bytes(acc >> rem, ((nacc - rem) >> 3) as usize);
+        self.out.put_pending(acc & ((1u64 << rem) - 1), rem);
         match exit {
             BitExit::Cap => {
                 self.lane.status = cap_status(cyc, budget, chaos_panic, chaos_fault);
@@ -760,5 +765,152 @@ impl Ctx<'_, '_> {
         self.lane.cycles += 1;
         self.lane.dispatches += 1;
         self.mem.add_reads(1);
+    }
+}
+
+/// The value a register-to-register op writes to its destination, from
+/// the destination's old value `d`, the source `sv`, the reference `rv`
+/// and the op's pre-extended immediate: [`crate::lane::Lane`]'s `exec`
+/// for the ops [`super::lower_block`] leaves as [`FusedOp::Alu`].
+/// Anything else leaves `d` unchanged.
+fn alu(op: Opcode, d: u32, sv: u32, rv: u32, imm: u32, imm1: u8) -> u32 {
+    use Opcode::*;
+    match op {
+        MovIH => (d & 0xFFFF) | (imm << 16),
+        AddI => sv.wrapping_add(imm),
+        SubI => sv.wrapping_sub(imm),
+        AndI => sv & imm,
+        OrI => sv | imm,
+        XorI => sv ^ imm,
+        ShlI => sv << (imm & 31),
+        ShrI => sv >> (imm & 31),
+        SarI => ((sv as i32) >> (imm & 31)) as u32,
+        SEqI => u32::from(sv == imm),
+        SLtI => u32::from((sv as i32) < imm as i32),
+        SLtUI => u32::from(sv < imm),
+        Crc => {
+            let mut crc = d ^ (sv & 0xFF);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0x82F6_3B78 & mask);
+            }
+            crc
+        }
+        FnvB => (d ^ sv).wrapping_mul(0x0100_0193),
+        Hash => {
+            let h = sv.wrapping_mul(0x9E37_79B1);
+            if (1..32).contains(&imm) {
+                h >> (32 - imm)
+            } else {
+                h
+            }
+        }
+        Clz => sv.leading_zeros(),
+        Popcnt => sv.count_ones(),
+        Extract => {
+            let width = (imm & 0x1F).max(1);
+            let mask = if width >= 32 {
+                u32::MAX
+            } else {
+                (1 << width) - 1
+            };
+            (sv >> imm1) & mask
+        }
+        Deposit => (d << imm1) | (sv & ((1 << imm1.max(1)) - 1)),
+        Mov => sv,
+        Add => rv.wrapping_add(sv),
+        Sub => rv.wrapping_sub(sv),
+        And => rv & sv,
+        Or => rv | sv,
+        Xor => rv ^ sv,
+        Shl => rv << (sv & 31),
+        Shr => rv >> (sv & 31),
+        Mul => rv.wrapping_mul(sv),
+        Min => rv.min(sv),
+        Max => rv.max(sv),
+        SEq => u32::from(rv == sv),
+        SLt => u32::from((rv as i32) < (sv as i32)),
+        SLtU => u32::from(rv < sv),
+        Sel => {
+            if rv != 0 {
+                sv
+            } else {
+                d
+            }
+        }
+        SubSat => rv.saturating_sub(sv),
+        Hash2 => (rv ^ sv.wrapping_mul(0x9E37_79B9)).wrapping_mul(0x9E37_79B1),
+        _ => d,
+    }
+}
+
+/// Runs one lowered op of a fused record on the lane's registers, its
+/// memory and accept flag, with the output in the burst's accumulator
+/// `(acc, nacc)`. The caller has made room for the record's worst-case
+/// bits, and the burst runs at origin 0, so memory addresses are the
+/// register values themselves.
+#[inline]
+fn run_op(
+    op: &FusedOp,
+    regs: &mut [u32; 16],
+    mem: &mut LocalMemory,
+    accept: &mut bool,
+    acc: &mut u64,
+    nacc: &mut u32,
+) {
+    // `EmitB`/`EmitW` semantics: zero-pad the pending bits to a byte
+    // boundary first.
+    let pad = |acc: &mut u64, nacc: &mut u32| {
+        let pad = (8 - (*nacc & 7)) & 7;
+        *acc <<= pad;
+        *nacc += pad;
+    };
+    let r = |i: u8| usize::from(i & 15);
+    match *op {
+        FusedOp::Bits { code, len } => {
+            *acc = (*acc << len) | code;
+            *nacc += u32::from(len);
+        }
+        FusedOp::EmitBits { src, w } => {
+            let v = regs[r(src)] & ((1u32 << w) - 1);
+            *acc = (*acc << w) | u64::from(v);
+            *nacc += u32::from(w);
+        }
+        FusedOp::EmitB { src, imm } => {
+            pad(acc, nacc);
+            let b = regs[r(src)].wrapping_add(imm) as u8;
+            *acc = (*acc << 8) | u64::from(b);
+            *nacc += 8;
+        }
+        FusedOp::EmitW { src } => {
+            pad(acc, nacc);
+            *acc = (*acc << 32) | u64::from(regs[r(src)].swap_bytes());
+            *nacc += 32;
+        }
+        FusedOp::Set { dst, v } => regs[r(dst)] = v,
+        FusedOp::Load {
+            byte,
+            dst,
+            src,
+            off,
+        } => {
+            let addr = regs[r(src)].wrapping_add(off);
+            regs[r(dst)] = if byte {
+                u32::from(mem.read_byte(addr))
+            } else {
+                mem.read_word(addr / 4)
+            };
+        }
+        FusedOp::Accept(on) => *accept = on,
+        FusedOp::Alu {
+            op,
+            dst,
+            src,
+            rref,
+            imm,
+            imm1,
+        } => {
+            regs[r(dst)] = alu(op, regs[r(dst)], regs[r(src)], regs[r(rref)], imm, imm1);
+        }
     }
 }

@@ -55,7 +55,7 @@ mod exec;
 pub(crate) use exec::run_compiled;
 
 use std::collections::HashMap;
-use udp_asm::idiom::{recognize_bitemit, EmitSpan};
+use udp_asm::idiom::EmitSpan;
 use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::{DecodedProgram, ProgramImage};
 use udp_isa::action::{Action, Opcode};
@@ -93,10 +93,12 @@ pub(crate) const EXIT_NO_TRANSITION: u32 = TAG_EXIT | 1;
 /// back to the interpreter outright.
 const MAX_STATES: usize = 4096;
 
-/// Why [`CompiledProgram::compile`] refused to specialize a program.
-/// The stable reason strings surface in `hostperf --json` as the
-/// `compiled_declined` column, so the bench trajectory records *why* a
-/// kernel ran at interpreter parity.
+/// Why [`CompiledProgram::compile`] refused to specialize a program;
+/// the program then runs on the interpreter. The stable reason strings
+/// surface through [`crate::compiled_decline_reason`] (the
+/// `compiled_declined` column of `hostperf --json`, perfbench's
+/// `compiled.declined` count), and `compilers/tests/decline_snapshot.rs`
+/// pins them per corpus program, so a lost fusion names its program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Decline {
     /// The image is not marked executable (failed verification).
@@ -111,6 +113,12 @@ pub(crate) enum Decline {
     /// fusable action-per-symbol arc for the bit-burst loop: nothing
     /// to specialize, the interpreter is already optimal.
     NoFusableArcs,
+    /// The bit-burst loop would be torn down too often to pay for
+    /// itself: more than [`MAX_BREAK_SHARE`] of the dispatches in a
+    /// uniform walk of the tables run in it without a fused record
+    /// (`BumpW; ReadBits` histogram leaves, `SetSym`/`SetSymT` Huffman
+    /// strides).
+    Unprofitable,
 }
 
 impl Decline {
@@ -122,6 +130,7 @@ impl Decline {
             Decline::StateExplosion => "state-count-exceeds-cap",
             Decline::TableOverflow => "dispatch-table-overflow",
             Decline::NoFusableArcs => "no-fusable-arcs",
+            Decline::Unprofitable => "unprofitable",
         }
     }
 }
@@ -141,36 +150,261 @@ pub(crate) fn decline_reason(image: &ProgramImage) -> Option<&'static str> {
 /// leave the bit-burst loop and resolve it through the dense table.
 pub(crate) const BITEMIT_NONE: u16 = u16::MAX;
 
+/// Most output bits one record may emit: the bit-burst loop drains its
+/// 64-bit accumulator to under a byte before a record that could
+/// overflow it, so a record's worst case must fit in the rest.
+const MAX_RECORD_BITS: u32 = 64 - 7;
+
+/// One pre-resolved action of a fused block: register indices, the
+/// extended immediate and the emit width are fixed at lowering, so the
+/// bit-burst loop runs it without decoding an [`Action`] (DESIGN.md
+/// §2.6.4). Reads of `R13` see the dispatched symbol: the loop writes
+/// it into the latch before a record's ops run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FusedOp {
+    /// Constant output bits, MSB-first: folded `MovI rd; EmitBits rd`
+    /// pairs.
+    Bits {
+        /// The bits, right-aligned.
+        code: u64,
+        /// How many (at most [`MAX_RECORD_BITS`]).
+        len: u8,
+    },
+    /// `EmitBits`: the low `w` bits of `regs[src]`.
+    EmitBits {
+        /// Source register.
+        src: u8,
+        /// Width, already clamped to 1..=16.
+        w: u8,
+    },
+    /// `EmitB`: pad the output to a byte, then append `regs[src] + imm`.
+    EmitB {
+        /// Source register.
+        src: u8,
+        /// Zero-extended immediate.
+        imm: u32,
+    },
+    /// `EmitW`: pad the output to a byte, then append the four
+    /// little-endian bytes of `regs[src]`.
+    EmitW {
+        /// Source register.
+        src: u8,
+    },
+    /// `MovI`: `regs[dst] = v`.
+    Set {
+        /// Destination register.
+        dst: u8,
+        /// Zero-extended immediate.
+        v: u32,
+    },
+    /// `LoadW` / `LoadB` from `regs[src] + off` (one counted read).
+    Load {
+        /// `LoadB` when set.
+        byte: bool,
+        /// Destination register.
+        dst: u8,
+        /// Address register.
+        src: u8,
+        /// Sign-extended byte offset.
+        off: u32,
+    },
+    /// `Accept`: set the lane's accept flag.
+    Accept(bool),
+    /// Every other register-to-register op.
+    Alu {
+        /// The opcode.
+        op: Opcode,
+        /// Destination register.
+        dst: u8,
+        /// Source register.
+        src: u8,
+        /// Reference register (Reg format).
+        rref: u8,
+        /// The immediate, sign-extended for `AddI`/`SubI`/`SLtI` and
+        /// zero-extended otherwise.
+        imm: u32,
+        /// The 4-bit immediate (Imm2 format).
+        imm1: u8,
+    },
+}
+
+/// A fusable action block lowered into a slice of [`CompiledProgram::ops`],
+/// with its charges summed once from [`Opcode::charge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lowered {
+    /// Start of the block's ops in the shared pool.
+    pub(crate) at: u32,
+    /// Number of ops (the peephole may leave fewer than actions).
+    pub(crate) len: u16,
+    /// Worst-case output bits of one run of the block.
+    pub(crate) out_bits: u8,
+    /// Issue cycles of the block.
+    pub(crate) issue: u16,
+    /// Actions in the block: each is one counted code read and one
+    /// `actions_run`.
+    pub(crate) nacts: u16,
+}
+
+impl Lowered {
+    /// The empty block of a trivial arc.
+    const NONE: Lowered = Lowered {
+        at: 0,
+        len: 0,
+        out_bits: 0,
+        issue: 0,
+        nacts: 0,
+    };
+}
+
+/// Lowers `acts` into pre-resolved ops appended to `pool`. `None` when
+/// an action is not [`Action::fusable`], or when the block could emit
+/// more than [`MAX_RECORD_BITS`].
+///
+/// Peephole: `MovI rd, imm; EmitBits rd, w` emits a constant, so it
+/// becomes the register write plus constant bits, and adjacent constant
+/// bits merge (register writes commute with them). A `MovI` write that
+/// a later `MovI` of the same register overwrites with only constant
+/// bits between is dropped.
+fn lower_block(acts: &[Action], pool: &mut Vec<FusedOp>) -> Option<Lowered> {
+    if !acts.iter().all(Action::fusable) || acts.len() > usize::from(u16::MAX) {
+        return None;
+    }
+    let sx = |imm: u16| i32::from(imm as i16) as u32;
+    let mut ops: Vec<FusedOp> = Vec::new();
+    // Worst-case output bits, and whether the output is known to sit
+    // on a byte boundary (then a byte emit needs no pad).
+    let (mut bits, mut aligned) = (0u32, false);
+    let mut i = 0;
+    while i < acts.len() {
+        let a = &acts[i];
+        i += 1;
+        let (dst, src, rref) = (a.dst.index(), a.src.index(), a.rref.index());
+        let imm = u32::from(a.imm);
+        let op = match a.op {
+            Opcode::Nop => continue,
+            Opcode::MovI => {
+                let folded = acts
+                    .get(i)
+                    .filter(|e| e.op == Opcode::EmitBits && e.src == a.dst);
+                if let Some(e) = folded {
+                    i += 1;
+                    let w = e.imm1.clamp(1, 16);
+                    push_set(&mut ops, dst, imm);
+                    push_bits(&mut ops, u64::from(imm & ((1 << w) - 1)), w);
+                    bits += u32::from(w);
+                    aligned &= w.is_multiple_of(8);
+                    continue;
+                }
+                push_set(&mut ops, dst, imm);
+                continue;
+            }
+            Opcode::EmitBits => {
+                let w = a.imm1.clamp(1, 16);
+                bits += u32::from(w);
+                aligned &= w.is_multiple_of(8);
+                FusedOp::EmitBits { src, w }
+            }
+            Opcode::EmitB | Opcode::EmitW => {
+                let pad = if aligned { 0 } else { 7 };
+                bits += pad + 8 * a.op.charge().out_bytes(0) as u32;
+                aligned = true;
+                if a.op == Opcode::EmitB {
+                    FusedOp::EmitB { src, imm }
+                } else {
+                    FusedOp::EmitW { src }
+                }
+            }
+            Opcode::LoadW | Opcode::LoadB => FusedOp::Load {
+                byte: a.op == Opcode::LoadB,
+                dst,
+                src,
+                off: sx(a.imm),
+            },
+            Opcode::Accept => FusedOp::Accept(a.imm != 0),
+            op => FusedOp::Alu {
+                op,
+                dst,
+                src,
+                rref,
+                imm: if matches!(op, Opcode::AddI | Opcode::SubI | Opcode::SLtI) {
+                    sx(a.imm)
+                } else {
+                    imm
+                },
+                imm1: a.imm1,
+            },
+        };
+        ops.push(op);
+    }
+    if bits > MAX_RECORD_BITS {
+        return None;
+    }
+    let at = u32::try_from(pool.len()).ok()?;
+    let len = ops.len() as u16;
+    pool.extend(ops);
+    let issue: u64 = acts.iter().map(|a| u64::from(a.op.charge().issue)).sum();
+    Some(Lowered {
+        at,
+        len,
+        out_bits: bits as u8,
+        issue: issue as u16,
+        nacts: acts.len() as u16,
+    })
+}
+
+/// Appends `regs[dst] = v`, dropping an earlier write of `dst` that
+/// only constant bits separate from this one.
+fn push_set(ops: &mut Vec<FusedOp>, dst: u8, v: u32) {
+    let tail = ops
+        .iter()
+        .rposition(|o| !matches!(o, FusedOp::Bits { .. } | FusedOp::Set { .. }))
+        .map_or(0, |p| p + 1);
+    if let Some(p) = ops[tail..]
+        .iter()
+        .position(|o| matches!(o, FusedOp::Set { dst: d, .. } if *d == dst))
+    {
+        ops.remove(tail + p);
+    }
+    ops.push(FusedOp::Set { dst, v });
+}
+
+/// Appends constant bits, merging them into the last constant-bits op
+/// when only register writes separate the two.
+fn push_bits(ops: &mut Vec<FusedOp>, code: u64, len: u8) {
+    let last = ops
+        .iter_mut()
+        .rev()
+        .find(|o| !matches!(o, FusedOp::Set { .. }));
+    if let Some(FusedOp::Bits { code: c, len: l }) = last {
+        if u32::from(*l) + u32::from(len) <= MAX_RECORD_BITS {
+            *c = (*c << len) | code;
+            *l += len;
+            return;
+        }
+    }
+    ops.push(FusedOp::Bits { code, len });
+}
+
 /// One fused action-per-symbol dispatch — a bit-table entry the
 /// "bit-burst" inner loop (DESIGN.md §2.6.4) runs without leaving its
-/// locals. Two recognized shapes, plus the trivial hit/miss arcs so a
-/// mixed state keeps bursting:
+/// locals. Three shapes:
 ///
-/// * **encoder** ([`recognize_bitemit`]): a consume arc whose block is
-///   ≤ 2 constant `MovI rd; EmitBits rd` pairs, optionally ending in
-///   one `EmitB` — folded at compile time to ≤ 32 constant output bits
-///   plus an optional dynamic byte;
+/// * **trivial**: a signature hit or fallback miss with no actions,
+///   into a consuming state, so a mixed state keeps bursting;
+/// * **action**: a consume arc whose cached block lowers
+///   ([`lower_block`]) and lands in a consuming state;
 /// * **decoder**: an action-less consume arc into a pass state whose
-///   plan putback-refills and takes a single-`EmitB` block back to a
-///   consuming state (the Huffman `SsRef` leaf→emit→root walk).
+///   plan putback-refills and takes a lowered block back to a consuming
+///   state (the Huffman `SsRef` leaf→emit→root walk).
 ///
 /// Per-symbol charges replicate the interpreter exactly, including the
 /// folded-cap re-check *between* the consume dispatch and the pass
 /// step of the decoder shape (`pass_mid`).
 #[derive(Debug, Clone)]
 pub(crate) struct BitEmit {
-    /// Constant output bits (MSB-first), folded from the block's
-    /// `MovI`/`EmitBits` pairs; `len == 0` when none.
-    pub(crate) code: u32,
-    pub(crate) len: u8,
     /// This entry sits behind a signature miss: one surcharge cycle
     /// and read, one fallback-miss count.
     pub(crate) miss: bool,
-    /// Trailing dynamic `EmitB src, imm`: align the output to a byte
-    /// (zero-padded), then append `regs[src] + imm`. The recognizer
-    /// excludes `R13`/`R15` sources so the burst's deferred symbol
-    /// latch and stream cursor stay invisible.
-    pub(crate) dyn_byte: Option<(u8, u16)>,
     /// Decoder shape: flat base of the intermediate pass state. The
     /// interpreter re-checks the folded cap between the consume
     /// dispatch and the pass step, so the burst must too — and on a
@@ -179,13 +413,8 @@ pub(crate) struct BitEmit {
     /// Bits put back by the pass plan's refill signature (decoder
     /// shape; 0 otherwise).
     pub(crate) refill: u8,
-    /// Final register writes of the fused block (≤ 2), applied per
-    /// symbol. `R13`/`R15` excluded by the recognizer.
-    pub(crate) writes: [(u8, u32); 2],
-    pub(crate) nwrites: u8,
-    /// Actions in the fused block: each costs 1 cycle, 1 counted code
-    /// read, 1 `actions_run`.
-    pub(crate) nacts: u8,
+    /// The lowered action block ([`Lowered::NONE`] for a trivial arc).
+    pub(crate) block: Lowered,
     /// Compiled successor — statically a consuming state.
     pub(crate) next: u32,
 }
@@ -312,6 +541,9 @@ pub(crate) struct CompiledProgram {
     /// kinds, or rows with nothing it could run).
     pub(crate) bit_tables: Vec<Option<Box<[u16; 256]>>>,
     pub(crate) bitemits: Vec<BitEmit>,
+    /// The lowered ops of every fused block, one shared pool the
+    /// records' [`Lowered`] ranges index.
+    pub(crate) ops: Vec<FusedOp>,
     /// `(flat base, kind code)` → state index, for re-resolving the
     /// current state after an action block moved the lane somewhere a
     /// precomputed successor hint does not cover.
@@ -401,18 +633,20 @@ fn inline_fused(ge: &GeneralEntry, states: &[StateInfo]) -> Option<InlineFused> 
     (si.kind == ExecKind::Consume && si.burstable).then(|| InlineFused { f: f.clone(), next })
 }
 
-/// Tries to fuse one general dispatch into a [`BitEmit`]: the encoder
-/// shape (the arc's own cached block matches `recognize_bitemit` and
-/// lands in a consuming state) or the decoder shape (an action-less
-/// arc into a pass state whose precompiled plan refill-putbacks and
-/// takes a single-`EmitB` block back to a consuming state). `None`
-/// leaves the dispatch to the dense-table machinery.
+/// Tries to fuse one general dispatch into a [`BitEmit`]: the action
+/// shape (the arc's own cached block lowers and lands in a consuming
+/// state) or the decoder shape (an action-less arc into a pass state
+/// whose precompiled plan refill-putbacks and takes a lowered block
+/// back to a consuming state). `lower` lowers a cached block once per
+/// block address. `None` leaves the dispatch to the dense-table
+/// machinery.
 fn bitemit_entry(
     ge: &GeneralEntry,
     states: &[StateInfo],
     decoded: &DecodedProgram,
     abase: u32,
     ascale: u8,
+    lower: &mut dyn FnMut(&CachedBlock) -> Option<Lowered>,
 ) -> Option<BitEmit> {
     let next_consume = |i: u32| {
         usize::try_from(i)
@@ -420,22 +654,12 @@ fn bitemit_entry(
             .filter(|&i| i < states.len() && states[i].kind == ExecKind::Consume)
     };
     if let Some(cb) = &ge.block {
-        // Encoder shape. A span-fused block has its own inline path.
-        if cb.fused.is_some() {
-            return None;
-        }
         let next = next_consume(ge.next)?;
-        let sh = recognize_bitemit(&cb.acts)?;
         return Some(BitEmit {
-            code: sh.code,
-            len: sh.len,
             miss: ge.miss,
-            dyn_byte: sh.dyn_byte,
             pass_mid: None,
             refill: 0,
-            writes: sh.writes,
-            nwrites: sh.nwrites,
-            nacts: cb.acts.len() as u8,
+            block: lower(cb)?,
             next: next as u32,
         });
     }
@@ -462,25 +686,164 @@ fn bitemit_entry(
         return None;
     }
     let next = next_consume(*n2)?;
-    // The emit block is one action, so the recognizer can only match
-    // a lone `EmitB`.
     let cb2 = cache_block(decoded, t2, abase, ascale)?;
-    if cb2.acts.len() != 1 {
-        return None;
-    }
-    let dyn_byte = recognize_bitemit(&cb2.acts)?.dyn_byte;
     Some(BitEmit {
-        code: 0,
-        len: 0,
         miss: ge.miss,
-        dyn_byte,
         pass_mid: Some(ps.base),
         refill: refill.unwrap_or(0),
-        writes: [(0, 0); 2],
-        nwrites: 0,
-        nacts: 1,
+        block: lower(&cb2)?,
         next: next as u32,
     })
+}
+
+/// Most dispatches per hundred that may end a bit burst before the
+/// backend declines a program as [`Decline::Unprofitable`] (see
+/// [`BurstWalk::break_share`]).
+const MAX_BREAK_SHARE: f64 = 0.10;
+
+/// One live dispatch of the profitability walk: `(fused, consuming
+/// successor, successor width)`.
+type LiveArc = (bool, Option<usize>, u8);
+
+/// The compiled tables, walked to estimate how often the bit-burst
+/// loop would be torn down (DESIGN.md §2.6.4).
+struct BurstWalk<'a> {
+    states: &'a [StateInfo],
+    dense: &'a [[u32; 256]],
+    general: &'a [GeneralEntry],
+    bit_tables: &'a [Option<Box<[u16; 256]>>],
+    bitemits: &'a [BitEmit],
+    /// The program starts at 8-bit symbols, so a state with a trivial
+    /// arc runs the byte-burst loop, not the bit-burst loop.
+    wide: bool,
+}
+
+impl BurstWalk<'_> {
+    /// The share of dispatches that end a bit burst, when every live
+    /// dispatch value of a state is equally likely. A dispatch ends the
+    /// burst when it runs in the bit-burst loop and has no fused
+    /// record: the loop syncs every deferred counter, the dispatch goes
+    /// through the general machinery, and the next dispatch sets the
+    /// loop up again. The byte-burst loop re-enters after a general
+    /// dispatch without that setup, and a state with no bit row
+    /// single-steps without entering either loop, so their dispatches
+    /// never count.
+    ///
+    /// The walk tracks the symbol width each state runs at (the entry
+    /// width, changed by a `SetSym`/`SetSymT` in a taken block), so a
+    /// state's live values are `0..2^width`. It averages the shares of
+    /// 64 steps of probability mass started at the entry state; mass
+    /// that leaves the consuming states starts over at the entry.
+    fn break_share(&self, entry_bits: u8) -> f64 {
+        let n = self.states.len();
+        // Each reached state's live dispatches, at the width the first
+        // arc reaching it leaves (breadth-first from the entry).
+        let mut arcs: Vec<Option<Vec<LiveArc>>> = vec![None; n];
+        let mut width = vec![0u8; n];
+        width[0] = entry_bits;
+        let mut order = vec![0usize];
+        let mut head = 0;
+        while head < order.len() {
+            let st = order[head];
+            head += 1;
+            let live = self.arcs(st, width[st]);
+            for &(_, next, w) in &live {
+                if let Some(i) = next {
+                    if width[i] == 0 {
+                        width[i] = w;
+                        order.push(i);
+                    }
+                }
+            }
+            arcs[st] = Some(live);
+        }
+        let (mut breaks, mut total) = (0.0, 0.0);
+        let mut mass = vec![0.0f64; n];
+        mass[0] = 1.0;
+        for _ in 0..64 {
+            let mut next_mass = vec![0.0f64; n];
+            for st in 0..n {
+                let live = arcs[st].as_deref().unwrap_or(&[]);
+                if mass[st] == 0.0 {
+                    continue;
+                }
+                if live.is_empty() {
+                    next_mass[0] += mass[st];
+                    continue;
+                }
+                let p = mass[st] / live.len() as f64;
+                let bit_run =
+                    self.bit_tables[st].is_some() && (!self.wide || !self.states[st].burstable);
+                for &(fused, next, _) in live {
+                    total += p;
+                    if bit_run && !fused {
+                        breaks += p;
+                    }
+                    next_mass[next.unwrap_or(0)] += p;
+                }
+            }
+            mass = next_mass;
+        }
+        if total > 0.0 {
+            breaks / total
+        } else {
+            0.0
+        }
+    }
+
+    /// The live dispatches of consuming state `st` at symbol width `w`:
+    /// one [`LiveArc`] per value that does not exit.
+    fn arcs(&self, st: usize, w: u8) -> Vec<LiveArc> {
+        if self.states[st].kind != ExecKind::Consume || w == 0 {
+            return Vec::new();
+        }
+        let row = self.bit_tables[st].as_deref();
+        (0..1usize << w.min(8))
+            .filter_map(|s| {
+                let e = self.dense[st][s];
+                let fused = row.is_some_and(|r| r[s] != BITEMIT_NONE);
+                let payload = (e & PAYLOAD_MASK) as usize;
+                if e < TAG_GENERAL {
+                    return Some((true, Some(payload), w));
+                }
+                if e >= TAG_EXIT {
+                    return None;
+                }
+                let ge = &self.general[payload];
+                let next = if fused {
+                    row.map(|r| self.bitemits[usize::from(r[s])].next as usize)
+                } else {
+                    self.consume_of(ge.next)
+                };
+                let w2 = ge
+                    .block
+                    .as_ref()
+                    .and_then(|cb| {
+                        cb.acts
+                            .iter()
+                            .rev()
+                            .find(|a| matches!(a.op, Opcode::SetSym | Opcode::SetSymT))
+                    })
+                    .map_or(w, |a| (a.imm as u8).clamp(1, 8));
+                Some((fused, next, w2))
+            })
+            .collect()
+    }
+
+    /// The consuming state compiled state `i` leads to: itself, or the
+    /// successor of a pass state that takes its fallback word.
+    fn consume_of(&self, i: u32) -> Option<usize> {
+        let st = self.states.get(i as usize)?;
+        match (&st.kind, &st.pass) {
+            (ExecKind::Consume, _) => Some(i as usize),
+            (ExecKind::Pass, Some(PassPlan::Take { next, .. })) => self
+                .states
+                .get(*next as usize)
+                .filter(|s| s.kind == ExecKind::Consume)
+                .map(|_| *next as usize),
+            _ => None,
+        }
+    }
 }
 
 impl CompiledProgram {
@@ -671,10 +1034,10 @@ impl CompiledProgram {
         // Pass 4: bit-burst rows. Every consuming state gets a parallel
         // 256-entry row of fused dispatches: trivial hits/misses carry
         // over as-is (so mixed states keep bursting), and general
-        // dispatches matching the action-per-symbol emit idiom fold to
-        // one [`BitEmit`] each. The row is the sub-byte/misaligned twin
-        // of the dense byte-burst — it is what makes action-per-symbol
-        // kernels (Huffman encode/decode, bit-packing) compile at all.
+        // dispatches whose block lowers become one [`BitEmit`] each.
+        // The row is the sub-byte/misaligned twin of the dense
+        // byte-burst — it is what makes action-per-symbol kernels
+        // (Huffman, bit-packing, dictionary hashing) compile at all.
         // Equal records are stored once and shared by every row position
         // that dispatches to them: a trivial record is determined by its
         // successor and miss flag, a fused one by the general entry it
@@ -682,6 +1045,14 @@ impl CompiledProgram {
         // `Some(BITEMIT_NONE)` = that general entry does not fuse.
         let mut bit_tables: Vec<Option<Box<[u16; 256]>>> = vec![None; n];
         let mut bitemits: Vec<BitEmit> = Vec::new();
+        let mut ops: Vec<FusedOp> = Vec::new();
+        // Each action block is lowered once, keyed by its address.
+        let mut lowered: HashMap<u32, Option<Lowered>> = HashMap::new();
+        let mut lower = |cb: &CachedBlock| {
+            *lowered
+                .entry(cb.flat)
+                .or_insert_with(|| lower_block(&cb.acts, &mut ops))
+        };
         let mut trivial_at: Vec<[Option<u16>; 2]> = vec![[None; 2]; n];
         let mut general_at: Vec<Option<u16>> = vec![None; general.len()];
         let mut any_bitfused = false;
@@ -707,25 +1078,27 @@ impl CompiledProgram {
                         let be = if e < TAG_GENERAL {
                             // Trivial hit/miss: 1 (+1 miss) cycle, same reads.
                             Some(BitEmit {
-                                code: 0,
-                                len: 0,
                                 miss: e >= TAG_MISS,
-                                dyn_byte: None,
                                 pass_mid: None,
                                 refill: 0,
-                                writes: [(0, 0); 2],
-                                nwrites: 0,
-                                nacts: 0,
+                                block: Lowered::NONE,
                                 next: payload as u32,
                             })
                         } else {
-                            bitemit_entry(&general[payload], &states, decoded, abase, ascale)
+                            bitemit_entry(
+                                &general[payload],
+                                &states,
+                                decoded,
+                                abase,
+                                ascale,
+                                &mut lower,
+                            )
                         };
                         let i = match be {
                             None => BITEMIT_NONE,
                             Some(_) if bitemits.len() >= usize::from(BITEMIT_NONE) => break,
                             Some(be) => {
-                                any_bitfused |= be.len > 0 || be.dyn_byte.is_some();
+                                any_bitfused |= e >= TAG_GENERAL;
                                 bitemits.push(be);
                                 (bitemits.len() - 1) as u16
                             }
@@ -752,6 +1125,17 @@ impl CompiledProgram {
         if !states.iter().any(|s| s.burstable) && !any_bitfused {
             return Err(Decline::NoFusableArcs);
         }
+        let walk = BurstWalk {
+            states: &states,
+            dense: &dense,
+            general: &general,
+            bit_tables: &bit_tables,
+            bitemits: &bitemits,
+            wide: image.init.symbol_bits == 8,
+        };
+        if walk.break_share(image.init.symbol_bits) > MAX_BREAK_SHARE {
+            return Err(Decline::Unprofitable);
+        }
 
         Ok(CompiledProgram {
             states,
@@ -759,6 +1143,7 @@ impl CompiledProgram {
             general,
             bit_tables,
             bitemits,
+            ops,
             index,
             wbase,
             abase,
@@ -1179,7 +1564,7 @@ mod tests {
         let entry = cp.lookup(image.entry_base, image.entry_kind).unwrap() as usize;
         let tbl = cp.bit_tables[entry].as_ref().expect("bit row must exist");
         let fused = (0..256)
-            .filter(|&s| tbl[s] != BITEMIT_NONE && cp.bitemits[usize::from(tbl[s])].len > 0)
+            .filter(|&s| tbl[s] != BITEMIT_NONE && cp.bitemits[usize::from(tbl[s])].block.len > 0)
             .count();
         assert_eq!(fused, 16, "every coded symbol must fuse");
 
@@ -1218,7 +1603,7 @@ mod tests {
         assert!(
             cp.bitemits
                 .iter()
-                .any(|e| e.pass_mid.is_some() && e.dyn_byte.is_some()),
+                .any(|e| e.pass_mid.is_some() && e.block.len > 0),
             "decoder shape must fuse through the pass state"
         );
 
@@ -1253,7 +1638,7 @@ mod tests {
         );
     }
 
-    /// The bit-emit idiom fuses whether or not the image carries a
+    /// Action blocks lower whether or not the image carries a
     /// certificate, like the span idiom above.
     #[test]
     fn cert_bitemit_count_is_consistent_with_fusion() {
@@ -1262,20 +1647,268 @@ mod tests {
         let cert = report.cert.expect("cost pass must run on a clean image");
 
         let decoded = image.predecode();
-        let count_bitfused = |cp: &CompiledProgram| {
-            cp.bitemits
-                .iter()
-                .filter(|e| e.len > 0 || e.dyn_byte.is_some())
-                .count()
-        };
+        let count_bitfused =
+            |cp: &CompiledProgram| cp.bitemits.iter().filter(|e| e.block.len > 0).count();
         let cp = CompiledProgram::compile(&image, &decoded).expect("must specialize");
         let fused = count_bitfused(&cp);
-        assert!(fused > 0, "bit-emit idiom must fuse");
+        assert!(fused > 0, "the encoder blocks must lower");
 
         let mut certified = image.clone();
         certified.cert = Some(cert);
         let cp1 = CompiledProgram::compile(&certified, &decoded).expect("must specialize");
         assert_eq!(count_bitfused(&cp1), fused);
+    }
+
+    /// One consuming state at `bits`-bit symbols whose every dispatch
+    /// value runs `block` and loops back.
+    fn per_symbol(bits: u8, block: &[Action]) -> udp_asm::ProgramImage {
+        let mut b = ProgramBuilder::new();
+        b.set_symbol_bits(bits);
+        let s = b.add_consuming_state();
+        b.set_entry(s);
+        for sym in 0..1u16 << bits {
+            b.labeled_arc(s, sym, Target::State(s), block.to_vec());
+        }
+        b.assemble(&LayoutOptions::default()).unwrap()
+    }
+
+    /// Fused records whose lowered block has ops.
+    fn fused_records(cp: &CompiledProgram) -> usize {
+        cp.bitemits.iter().filter(|e| e.block.len > 0).count()
+    }
+
+    /// Runs `image` over `input` on both paths with `regs` preset and
+    /// asserts the full reports equal and the program's blocks fused;
+    /// returns the interpreter's report.
+    fn diff_fused(
+        image: &udp_asm::ProgramImage,
+        input: &[u8],
+        cfg: &LaneConfig,
+        regs: &[(u8, u32)],
+    ) -> crate::lane::LaneReport {
+        let decoded = Arc::new(image.predecode());
+        let cp = CompiledProgram::compile(image, &decoded).expect("must specialize");
+        assert!(fused_records(&cp) > 0, "no block lowered");
+        let run = |compiled: bool| {
+            let mut mem = LocalMemory::with_words(8192);
+            mem.set_bank_tracking(false);
+            mem.load_words(0, &image.words);
+            mem.reset_counters();
+            let mut lane = Lane::with_decoded(image, 0, Arc::clone(&decoded));
+            lane.mark_code_clean();
+            for &(r, v) in regs {
+                lane.preset_reg(Reg::new(r), v);
+            }
+            let mut stream = BitStream::new(input);
+            let mut out = OutputSink::new();
+            if compiled {
+                run_compiled(&cp, &mut lane, &mut mem, &mut stream, &mut out, cfg)
+            } else {
+                lane.run(&mut mem, &mut stream, &mut out, cfg)
+            }
+        };
+        let reference = run(false);
+        assert_eq!(reference, run(true));
+        reference
+    }
+
+    fn noise(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect()
+    }
+
+    /// `R13` reads lower to the dispatched symbol: `EmitB`, `EmitBits`
+    /// and `FnvB` of the symbol, at sub-byte, odd and whole-byte widths.
+    #[test]
+    fn r13_sourced_blocks_fuse_at_every_width() {
+        let (r1, r13) = (Reg::new(1), Reg::R13);
+        let input = noise(777);
+        for bits in [1u8, 3, 4, 7, 8] {
+            let blocks = [
+                vec![Action::imm(Opcode::EmitB, Reg::R0, r13, 5)],
+                vec![Action::imm2(Opcode::EmitBits, Reg::R0, r13, bits, 0)],
+                vec![Action::imm(Opcode::FnvB, r1, r13, 0)],
+            ];
+            for block in &blocks {
+                let rep = diff_fused(
+                    &per_symbol(bits, block),
+                    &input,
+                    &LaneConfig::default(),
+                    &[(1, 0x811C_9DC5)],
+                );
+                let moved = !rep.output.is_empty() || rep.regs[1] != 0x811C_9DC5;
+                assert!(moved, "{bits}-bit {:?} did nothing", block[0].op);
+            }
+        }
+    }
+
+    /// A multi-op block where a destination is its own source, a
+    /// register is written and then read in the same block, and byte,
+    /// word and bit emits interleave with a folded constant.
+    fn aliasing_block() -> Vec<Action> {
+        let (r1, r2, r4) = (Reg::new(1), Reg::new(2), Reg::new(4));
+        vec![
+            Action::imm(Opcode::AddI, r1, r1, 0xFFFD),
+            Action::reg(Opcode::Xor, r2, r1, Reg::R13),
+            Action::imm(Opcode::EmitB, Reg::R0, r2, 0),
+            Action::imm(Opcode::EmitW, Reg::R0, r1, 0),
+            Action::reg(Opcode::Mul, r1, r1, r2),
+            Action::imm2(Opcode::EmitBits, Reg::R0, r1, 5, 0),
+            Action::imm(Opcode::MovI, r4, Reg::R0, 9),
+            Action::imm2(Opcode::EmitBits, Reg::R0, r4, 4, 0),
+        ]
+    }
+
+    #[test]
+    fn aliasing_multi_op_block_matches_interpreter() {
+        let block = aliasing_block();
+        for bits in [3u8, 8] {
+            let image = per_symbol(bits, &block);
+            let rep = diff_fused(&image, &noise(1500), &LaneConfig::default(), &[(1, 7)]);
+            assert!(rep.output.len() > 1000);
+            // The cycle cap swept across one block's charge: it trips
+            // before the dispatch on every offset.
+            let per_symbol_cycles = 1 + block.len() as u64;
+            for cap in 600..600 + per_symbol_cycles + 1 {
+                let cfg = LaneConfig {
+                    max_cycles: cap,
+                    cycles_per_byte: 1,
+                    min_cycle_budget: 1,
+                    ..LaneConfig::default()
+                };
+                diff_fused(&image, &noise(1500), &cfg, &[(1, 7)]);
+            }
+            // A chaos fault lands mid-burst at the same cycle.
+            let cfg = LaneConfig {
+                chaos_fault_at: Some(1234),
+                ..LaneConfig::default()
+            };
+            let rep = diff_fused(&image, &noise(1500), &cfg, &[(1, 7)]);
+            assert!(matches!(
+                rep.status,
+                crate::lane::LaneStatus::Fault(crate::error::FaultKind::ChaosInjected { .. })
+            ));
+        }
+    }
+
+    /// Every opcode the ISA table calls fusable lowers, and its lowered
+    /// op computes what the interpreter computes, on registers that
+    /// drift through many values over the run.
+    #[test]
+    fn every_fusable_opcode_lowers_and_matches_interpreter() {
+        let (r1, r2, r3) = (Reg::new(1), Reg::new(2), Reg::new(3));
+        let mut lowered = 0;
+        for &op in Opcode::ALL {
+            let a = match op.format() {
+                udp_isa::ActionFormat::Imm => Action::imm(op, r3, r1, 0x8005),
+                udp_isa::ActionFormat::Imm2 => Action::imm2(op, r3, r1, 5, 0x9),
+                udp_isa::ActionFormat::Reg => Action::reg(op, r3, r2, r1),
+            };
+            if !a.fusable() {
+                continue;
+            }
+            assert!(lower_block(&[a], &mut Vec::new()).is_some(), "{op}");
+            // Feed the symbol and the result back into the operands so
+            // every register takes many values.
+            // Two word emits could overflow one record's output bits.
+            let show = if op == Opcode::EmitW {
+                Opcode::EmitB
+            } else {
+                Opcode::EmitW
+            };
+            let block = [
+                Action::reg(Opcode::Add, r1, r1, Reg::R13),
+                Action::reg(Opcode::Xor, r2, r2, r3),
+                a,
+                Action::imm(show, Reg::R0, r3, 0),
+            ];
+            let regs = [(1, 0x1234_5678), (2, 3), (3, 0xFFFF_FFF0)];
+            diff_fused(
+                &per_symbol(8, &block),
+                &noise(600),
+                &LaneConfig::default(),
+                &regs,
+            );
+            lowered += 1;
+        }
+        assert!(lowered >= 40, "only {lowered} opcodes lower");
+    }
+
+    /// The encoder idiom's constant `MovI; EmitBits` pairs fold into one
+    /// constant-bits op, an overwritten `MovI` write is dropped, and a
+    /// dynamic `EmitB` stays an op of its own.
+    #[test]
+    fn lowering_folds_constant_emits_and_keeps_dynamic_emits() {
+        let r1 = Reg::new(1);
+        let pairs = vec![
+            Action::imm(Opcode::MovI, r1, Reg::R0, 0b101),
+            Action::imm2(Opcode::EmitBits, Reg::R0, r1, 3, 0),
+            Action::imm(Opcode::MovI, r1, Reg::R0, 0b1),
+            Action::imm2(Opcode::EmitBits, Reg::R0, r1, 2, 0),
+            Action::imm(Opcode::EmitB, Reg::R0, Reg::new(12), 7),
+        ];
+        let mut pool = Vec::new();
+        let l = lower_block(&pairs, &mut pool).expect("fusable");
+        assert_eq!(
+            pool,
+            [
+                FusedOp::Bits {
+                    code: 0b10101,
+                    len: 5
+                },
+                FusedOp::Set { dst: 1, v: 1 },
+                FusedOp::EmitB { src: 12, imm: 7 },
+            ]
+        );
+        assert_eq!((l.issue, l.nacts, l.out_bits), (5, 5, 5 + 7 + 8));
+        // A block that could overflow the accumulator does not lower.
+        let wide = [Action::imm(Opcode::EmitW, Reg::R0, r1, 0); 2];
+        assert!(lower_block(&wide, &mut pool).is_none());
+        // Nor does one that writes the symbol latch or reads the cursor.
+        let r13 = [Action::imm(Opcode::MovI, Reg::R13, Reg::R0, 1)];
+        assert!(lower_block(&r13, &mut pool).is_none());
+        let r15 = [Action::imm(Opcode::EmitB, Reg::R0, Reg::R15, 0)];
+        assert!(lower_block(&r15, &mut pool).is_none());
+    }
+
+    /// A `SetABase` that runs before the burst retargets every scaled
+    /// attach: the bit-burst loop must not run the blocks it resolved
+    /// against the image's attach base, on either side of the move.
+    #[test]
+    fn set_abase_before_the_burst_keeps_blocks_exact() {
+        let build = |abase: u16| {
+            let mut b = ProgramBuilder::new();
+            let first = b.add_consuming_state();
+            let s = b.add_consuming_state();
+            b.set_entry(first);
+            b.fallback_arc(
+                first,
+                Target::State(s),
+                vec![Action::imm(Opcode::SetABase, Reg::R0, Reg::R0, abase)],
+            );
+            // Enough distinct two-action blocks to spill past the
+            // direct attach range into scaled attach slots.
+            for sym in 0..=255u16 {
+                let block = vec![
+                    Action::imm(Opcode::EmitB, Reg::R0, Reg::R13, sym),
+                    Action::imm(Opcode::EmitB, Reg::R0, Reg::new(12), sym ^ 0x55),
+                ];
+                b.labeled_arc(s, sym, Target::State(s), block);
+            }
+            b.assemble(&LayoutOptions::default()).unwrap()
+        };
+        let probe = build(0);
+        let slot = 1u16 << probe.init.ascale;
+        let input = noise(900);
+        for abase in [probe.init.abase as u16, probe.init.abase as u16 + slot] {
+            let image = build(abase);
+            assert_eq!(
+                (image.init.abase, image.init.ascale),
+                (probe.init.abase, probe.init.ascale)
+            );
+            diff_fused(&image, &input, &LaneConfig::default(), &[]);
+        }
     }
 
     /// Symbol widths beyond the dense-table coverage must decline to

@@ -239,7 +239,7 @@ pub struct Lane {
     pub(crate) base: u32,
     pub(crate) kind: ExecKind,
     pub(crate) status: LaneStatus,
-    accept: bool,
+    pub(crate) accept: bool,
     reports: Vec<(u16, u32)>,
     pub(crate) cycles: u64,
     pub(crate) dispatches: u64,
@@ -1183,9 +1183,9 @@ impl Lane {
                 let base = rv!().wrapping_add(sv);
                 let v = u32::from_le_bytes([
                     stream.byte_at(base),
-                    stream.byte_at(base + 1),
-                    stream.byte_at(base + 2),
-                    stream.byte_at(base + 3),
+                    stream.byte_at(base.wrapping_add(1)),
+                    stream.byte_at(base.wrapping_add(2)),
+                    stream.byte_at(base.wrapping_add(3)),
                 ]);
                 self.wr(a.dst, v);
             }
@@ -1354,6 +1354,69 @@ mod tests {
                 }
                 let table = u64::from(charge.issue) + charge.bulk_cycles(n);
                 assert_eq!(r.cycles - dispatch, table, "{op} n={n}");
+            }
+        }
+    }
+
+    /// The ISA's per-opcode [`udp_isa::Effects`], held to the
+    /// interpreter on edge operands: an op not flagged `can_end` leaves
+    /// the lane running, and an op not flagged `stream` leaves the
+    /// cursor where it was and computes the same result at two cursor
+    /// positions. The compiled backend's lowering trusts both.
+    #[test]
+    fn every_opcode_keeps_to_its_effect_flags() {
+        let image = scanner();
+        let input: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let (dst, rref, src) = (Reg::new(3), Reg::new(2), Reg::new(1));
+        for &op in Opcode::ALL {
+            let fx = op.effects();
+            for v in [0, 1, u32::MAX, LOOP_CAP + 1] {
+                for imm in [0u16, 1, 4, 0xFFFF] {
+                    let a = match op.format() {
+                        ActionFormat::Imm => Action::imm(op, dst, src, imm),
+                        ActionFormat::Imm2 => {
+                            Action::imm2(op, dst, src, (imm & 0xF) as u8, imm & 0xFFF)
+                        }
+                        ActionFormat::Reg => Action::reg(op, dst, rref, src),
+                    };
+                    let run = |skip_bytes: usize| {
+                        let mut mem = LocalMemory::with_words(8192);
+                        mem.load_words(0, &image.words);
+                        let mut lane = Lane::new(&image, 0);
+                        for r in 1..=3 {
+                            lane.preset_reg(Reg::new(r), v);
+                        }
+                        // The compare loops' limit; kept small so an
+                        // edge operand cannot make them run for long.
+                        lane.preset_reg(Reg::R14, 16);
+                        let mut stream = BitStream::new(&input);
+                        for _ in 0..skip_bytes {
+                            stream.read(8);
+                        }
+                        let mut out = OutputSink::new();
+                        out.push_bytes(&[b'o'; 32]);
+                        lane.exec(&a, &mut mem, &mut stream, &mut out);
+                        let moved = stream.bit_index() != (skip_bytes as u64) * 8;
+                        let result = (
+                            lane.status.clone(),
+                            lane.regs,
+                            lane.accept,
+                            lane.cycles,
+                            out.take_bytes(),
+                            lane.reports.clone(),
+                        );
+                        (moved, result)
+                    };
+                    let (moved, at1) = run(1);
+                    if !fx.can_end {
+                        assert_eq!(at1.0, LaneStatus::Running, "{a}, operands {v:#x}");
+                    }
+                    if !fx.stream {
+                        let (moved3, at3) = run(3);
+                        assert!(!moved && !moved3, "{a} moved the cursor");
+                        assert_eq!(at1, at3, "{a}, operands {v:#x}: cursor-dependent");
+                    }
+                }
             }
         }
     }

@@ -27,6 +27,14 @@ echo "== perfbench correctness smoke (device-small, 2 s) =="
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload device-small --seed 1 --seconds 2 --trace 0
 
+echo "== perfbench correctness smoke (device-stream, 2 s) =="
+# The same checks over 64 x 8 KiB chunks per call: long streams keep
+# the byte-burst and bit-burst loops running (device-small's 256 B
+# chunks barely enter them), on both backends, pooled and sequential,
+# against the pinned digests. No number is gated.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload device-stream --seed 1 --seconds 2 --trace 0
+
 echo "== perfbench correctness smoke (serve-journaled, 2 s) =="
 # csv rows served over the Unix socket by a journaled runtime (one
 # scheduler-held device for every wave), across a warm restart: every
