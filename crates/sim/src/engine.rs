@@ -128,13 +128,17 @@ pub struct UdpRunOptions {
     pub banks_per_lane: usize,
     /// Per-lane cycle cap.
     pub lane: LaneConfig,
-    /// Run the lane pool with one worker per host core (capped by the
-    /// lane and chunk counts) instead of one worker — the calling
-    /// thread, which then spawns nothing. Only a host-side speed knob:
-    /// modeled time is recomputed from the per-lane reports with the
-    /// wave formula (DESIGN.md §2.6.2), so cycles, stalls, references,
-    /// outputs, and the degradation of panicking chunks are
-    /// bit-identical either way. Honored under
+    /// Let the lane pool start helper threads beside the calling
+    /// thread, up to one worker per host core (capped by the lane and
+    /// chunk counts). It starts them while the time they are predicted
+    /// to save — the call's bytes times the kernel's measured host time
+    /// per byte — exceeds what they cost, and every one it may while
+    /// the kernel has no measured rate yet (DESIGN.md §2.6.1). Without
+    /// it the calling thread runs every chunk and spawns nothing. Only
+    /// a host-side speed knob: modeled time is recomputed from the
+    /// per-lane reports with the wave formula (DESIGN.md §2.6.2), so
+    /// cycles, stalls, references, outputs, and the degradation of
+    /// panicking chunks are bit-identical either way. Honored under
     /// [`AddressingMode::Local`] (disjoint lane windows); sharing modes
     /// run their lanes one after another on the device memory, because
     /// those lanes may genuinely communicate through it.
@@ -384,7 +388,8 @@ impl Udp {
                 lanes_cap,
                 compiled,
             };
-            let (mut lane_reports, mut finals) = pool::run(&params, inputs, opts.parallel);
+            let rate = opts.parallel.then(|| kernel.host_rate(compiled.is_some()));
+            let (mut lane_reports, mut finals) = pool::run(&params, inputs, rate);
             let health = match &opts.supervise {
                 Some(sup) => {
                     supervisor::supervise(&params, inputs, &mut lane_reports, &mut finals, sup)
@@ -975,12 +980,9 @@ mod tests {
             },
             ..Default::default()
         };
-        // Silence the default panic hook for the deliberate panic, then
-        // restore it so unrelated test failures keep their messages.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let rep = udp.try_run_data_parallel(&img, &inputs, &Staging::default(), &opts);
-        std::panic::set_hook(hook);
+        let (rep, _) = crate::pool::tests::chaos_threads(|| {
+            udp.try_run_data_parallel(&img, &inputs, &Staging::default(), &opts)
+        });
         let rep = rep.expect("pre-flight config is valid");
         assert_eq!(rep.lanes.len(), 3);
         assert_eq!(rep.lanes[0].status, LaneStatus::InputExhausted);

@@ -10,6 +10,7 @@
 //! however many devices run it.
 
 use crate::compiled::CompiledProgram;
+use crate::pool::HostRate;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use udp_asm::{DecodedProgram, ProgramImage};
 
@@ -26,6 +27,10 @@ pub struct PreparedKernel {
     /// `None` inside once compilation declined (the interpreter then
     /// runs; the semantics are identical either way).
     compiled: OnceLock<Option<CompiledProgram>>,
+    /// Measured host time per byte of pooled runs, interpreted
+    /// (`[0]`) and compiled (`[1]`); the pool weighs a call's bytes by
+    /// it before starting helper threads.
+    host_rates: [HostRate; 2],
 }
 
 impl PreparedKernel {
@@ -53,6 +58,7 @@ impl PreparedKernel {
             image,
             decoded,
             compiled: OnceLock::new(),
+            host_rates: Default::default(),
         }
     }
 
@@ -72,6 +78,12 @@ impl PreparedKernel {
         self.compiled
             .get_or_init(|| CompiledProgram::compile(&self.image, &self.decoded).ok())
             .as_ref()
+    }
+
+    /// The measured host time per byte of runs on the interpreter, or
+    /// — with `compiled` — on the compiled tables.
+    pub(crate) fn host_rate(&self, compiled: bool) -> &HostRate {
+        &self.host_rates[usize::from(compiled)]
     }
 }
 

@@ -43,6 +43,16 @@ echo "== perfbench correctness smoke (serve-journaled, 2 s) =="
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload serve-journaled --seed 1 --seconds 2 --trace 0
 
+echo "== perfbench correctness smoke (serve-open, 2 s) =="
+# The csv kernel served in-process to four tenants, backlogged and then
+# open loop, with its device waves probed pooled and sequential: every
+# row must match the CPU csv framing. Its waves are small, so the
+# pool's helper-thread decision changes on them (DESIGN.md §2.6.1).
+# Exits nonzero on any mismatch or failed operation; no number is
+# gated.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-open --seed 1 --seconds 2 --trace 0
+
 echo "== backend matrix: full suite on the compiled backend (DESIGN.md §2.6.3) =="
 # UDP_SIM_BACKEND=compiled flips every default-constructed run to the
 # tier-2 compiled engine; the whole suite (determinism, supervisor,
