@@ -76,10 +76,9 @@ impl EmitSpan {
         if ops != Self::OPS || regs.contains(&Reg::R15) {
             return None;
         }
-        let sx = |imm: u16| i32::from(imm as i16) as u32;
         Some(EmitSpan {
             d0: a0.dst.index(),
-            off0: sx(a0.imm),
+            off0: a0.op.imm_value(a0.imm),
             d1: a1.dst.index(),
             r1: a1.rref.index(),
             s1: a1.src.index(),
@@ -88,7 +87,7 @@ impl EmitSpan {
             s3: a3.src.index(),
             imm3: u32::from(a3.imm),
             d4: a4.dst.index(),
-            off4: sx(a4.imm),
+            off4: a4.op.imm_value(a4.imm),
         })
     }
 

@@ -27,10 +27,11 @@
 //! shape) and many small chunks (256 × 4 KB — the ETL shape, where
 //! per-chunk reset and scheduling overhead dominate a naive host loop).
 //!
-//! Results go to stdout and `results/hostperf.txt`; with `--json`, a
-//! machine-readable line per scenario goes to
-//! `results/BENCH_hostperf.json` so the perf trajectory is diffable
-//! across PRs (see `scripts/ci.sh`).
+//! Results go to stdout; with `--json`, also to `results/hostperf.txt`
+//! and, one machine-readable line per scenario, to
+//! `results/BENCH_hostperf.json`, so the perf trajectory is diffable
+//! across PRs (see `scripts/ci.sh`). Without `--json` no file is
+//! written.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -242,12 +243,12 @@ fn main() {
         render_line(r, &mut out);
     }
     print!("{out}");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/hostperf.txt", &out))
-    {
-        eprintln!("could not write results/hostperf.txt: {e}");
-    }
     if json {
+        if let Err(e) = std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write("results/hostperf.txt", &out))
+        {
+            eprintln!("could not write results/hostperf.txt: {e}");
+        }
         let payload = render_json(&results);
         if let Err(e) = std::fs::write("results/BENCH_hostperf.json", &payload) {
             eprintln!("could not write results/BENCH_hostperf.json: {e}");

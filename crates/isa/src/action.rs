@@ -392,6 +392,235 @@ impl Opcode {
     }
 }
 
+impl Opcode {
+    /// True when this opcode's 16-bit immediate is sign-extended: the
+    /// signed arithmetic forms and the offsets of loads, stores and the
+    /// stream and output cursors. Every other immediate is
+    /// zero-extended.
+    #[inline]
+    pub const fn sign_extends_imm(self) -> bool {
+        use Opcode::*;
+        matches!(
+            self,
+            AddI | SubI | SLtI | LoadW | StoreW | LoadB | StoreB | InIdx | OutIdx
+        )
+    }
+
+    /// The 32-bit operand value of immediate field `imm` for this opcode
+    /// (see [`Opcode::sign_extends_imm`]).
+    #[inline]
+    pub const fn imm_value(self, imm: u16) -> u32 {
+        if self.sign_extends_imm() {
+            imm as i16 as u32
+        } else {
+            imm as u32
+        }
+    }
+
+    /// True when `dst`'s new value is a function of registers and
+    /// immediates alone: the opcodes [`Opcode::eval`] defines.
+    #[inline]
+    pub const fn is_register_op(self) -> bool {
+        use Opcode::*;
+        const SET: [bool; 128] = op_set(&[
+            MovI, MovIH, AddI, SubI, AndI, OrI, XorI, ShlI, ShrI, SarI, SEqI, SLtI, SLtUI, Crc,
+            Hash, FnvB, Clz, Popcnt, Extract, Deposit, Mov, Add, Sub, And, Or, Xor, Shl, Shr, Mul,
+            Min, Max, SEq, SLt, SLtU, Sel, SubSat, Hash2,
+        ]);
+        SET[self as usize]
+    }
+
+    /// True when an action of this opcode writes its `dst` register: the
+    /// register ops, plus the ops whose result comes from memory, the
+    /// stream or the output cursor. (The lane drops writes to `R15`.)
+    #[inline]
+    pub const fn writes_dst(self) -> bool {
+        use Opcode::*;
+        const SET: [bool; 128] = op_set(&[
+            LoadW, LoadB, BumpW, ReadBits, PeekBits, InIdx, OutIdx, AtEof, LoopCmp, LoopCmpM,
+            PeekAt, PeekW,
+        ]);
+        self.is_register_op() || SET[self as usize]
+    }
+
+    /// The value a register op ([`Opcode::is_register_op`]) writes to
+    /// `dst`, in domain `D`, from `dst`'s old value `d`, the source `sv`,
+    /// the reference `rv` (read by Reg-format ops only) and the raw
+    /// immediates. Any other opcode returns `d`.
+    ///
+    /// This is the ISA's one definition of register values: the lane
+    /// interpreter and the compiled backend run it over `u32`, the
+    /// verifier's abstract interpreter over intervals. An immediate form
+    /// computes as its register form with `src` in the reference operand's
+    /// place and the extended immediate in the source's.
+    #[inline(always)]
+    pub fn eval<D: ValueDomain>(self, d: D, sv: D, rv: D, imm: u16, imm1: u8) -> D {
+        use Opcode::*;
+        let k = D::exact;
+        // Each arm extends its own immediate, so the rule folds per arm.
+        let i = |op: Opcode| k(op.imm_value(imm));
+        let eq = |a, b| u32::from(a == b);
+        let lt = |a, b| u32::from((a as i32) < (b as i32));
+        let ltu = |a, b| u32::from(a < b);
+        match self {
+            MovI => i(MovI),
+            Mov => sv,
+            MovIH => d.and(k(0xFFFF)).or(k(u32::from(imm) << 16)),
+            Add => rv.add(sv),
+            AddI => sv.add(i(AddI)),
+            Sub => rv.sub(sv),
+            SubI => sv.sub(i(SubI)),
+            And => rv.and(sv),
+            AndI => sv.and(i(AndI)),
+            Or => rv.or(sv),
+            OrI => sv.or(i(OrI)),
+            Xor => rv.xor(sv),
+            XorI => sv.xor(i(XorI)),
+            Shl => rv.shl(sv),
+            ShlI => sv.shl(i(ShlI)),
+            Shr => rv.shr(sv),
+            ShrI => sv.shr(i(ShrI)),
+            SarI => sv.sar(i(SarI)),
+            Mul => rv.mul(sv),
+            Min => rv.umin(sv),
+            Max => rv.umax(sv),
+            SubSat => rv.sub_sat(sv),
+            SEq => rv.opaque(sv, 1, eq),
+            SEqI => sv.opaque(i(SEqI), 1, eq),
+            SLt => rv.opaque(sv, 1, lt),
+            SLtI => sv.opaque(i(SLtI), 1, lt),
+            SLtU => rv.opaque(sv, 1, ltu),
+            SLtUI => sv.opaque(i(SLtUI), 1, ltu),
+            Sel => rv.select(sv, d),
+            Clz => sv.opaque(sv, 32, |a, _| a.leading_zeros()),
+            Popcnt => sv.opaque(sv, 32, |a, _| a.count_ones()),
+            Extract => {
+                let width = (imm & 0x1F).max(1);
+                sv.shr(k(u32::from(imm1))).and(k((1 << width) - 1))
+            }
+            Deposit => {
+                let low = sv.and(k((1 << imm1.max(1)) - 1));
+                d.shl(k(u32::from(imm1))).or(low)
+            }
+            Crc => {
+                // One byte folded into a CRC-32C, a bit per step.
+                let mut crc = d.xor(sv.and(k(0xFF)));
+                for _ in 0..8 {
+                    let mask = k(0).sub(crc.and(k(1)));
+                    crc = crc.shr(k(1)).xor(k(0x82F6_3B78).and(mask));
+                }
+                crc
+            }
+            FnvB => d.xor(sv).mul(k(0x0100_0193)),
+            Hash => {
+                let h = sv.mul(k(0x9E37_79B1));
+                if (1..32).contains(&imm) {
+                    h.shr(k(32 - u32::from(imm)))
+                } else {
+                    h
+                }
+            }
+            Hash2 => rv.xor(sv.mul(k(0x9E37_79B9))).mul(k(0x9E37_79B1)),
+            _ => d,
+        }
+    }
+}
+
+/// The value operations [`Opcode::eval`] builds the register ops from,
+/// over 32-bit words: arithmetic wraps and shift amounts are taken
+/// modulo 32. `u32` is the concrete domain; an abstract domain returns a
+/// value that covers every concrete result of its operands' members.
+pub trait ValueDomain: Copy {
+    /// The one value `v`.
+    fn exact(v: u32) -> Self;
+    /// `self + rhs`.
+    fn add(self, rhs: Self) -> Self;
+    /// `self - rhs`.
+    fn sub(self, rhs: Self) -> Self;
+    /// `self * rhs`.
+    fn mul(self, rhs: Self) -> Self;
+    /// `self & rhs`.
+    fn and(self, rhs: Self) -> Self;
+    /// `self | rhs`.
+    fn or(self, rhs: Self) -> Self;
+    /// `self ^ rhs`.
+    fn xor(self, rhs: Self) -> Self;
+    /// `self << (rhs & 31)`.
+    fn shl(self, rhs: Self) -> Self;
+    /// `self >> (rhs & 31)`, logical.
+    fn shr(self, rhs: Self) -> Self;
+    /// `(self as i32) >> (rhs & 31)`, arithmetic.
+    fn sar(self, rhs: Self) -> Self;
+    /// The unsigned minimum.
+    fn umin(self, rhs: Self) -> Self;
+    /// The unsigned maximum.
+    fn umax(self, rhs: Self) -> Self;
+    /// `self - rhs`, saturating at 0.
+    fn sub_sat(self, rhs: Self) -> Self;
+    /// `then` when `self != 0`, else `other`.
+    fn select(self, then: Self, other: Self) -> Self;
+    /// `f(self, rhs)`, an operation the domain need not model beyond
+    /// its result being at most `hi`.
+    fn opaque(self, rhs: Self, hi: u32, f: impl Fn(u32, u32) -> u32) -> Self;
+}
+
+/// Binary operations of the concrete domain: `$name(a, b) => value`.
+macro_rules! concrete {
+    ($($name:ident($a:ident, $b:ident) => $e:expr;)*) => {$(
+        #[inline(always)]
+        fn $name(self, $b: u32) -> u32 {
+            let $a = self;
+            $e
+        }
+    )*};
+}
+
+impl ValueDomain for u32 {
+    concrete! {
+        add(a, b) => a.wrapping_add(b);
+        sub(a, b) => a.wrapping_sub(b);
+        mul(a, b) => a.wrapping_mul(b);
+        and(a, b) => a & b;
+        or(a, b) => a | b;
+        xor(a, b) => a ^ b;
+        shl(a, b) => a << (b & 31);
+        shr(a, b) => a >> (b & 31);
+        sar(a, b) => ((a as i32) >> (b & 31)) as u32;
+        umin(a, b) => a.min(b);
+        umax(a, b) => a.max(b);
+        sub_sat(a, b) => a.saturating_sub(b);
+    }
+
+    #[inline(always)]
+    fn exact(v: u32) -> u32 {
+        v
+    }
+
+    #[inline(always)]
+    fn select(self, then: u32, other: u32) -> u32 {
+        if self != 0 {
+            then
+        } else {
+            other
+        }
+    }
+
+    #[inline(always)]
+    fn opaque(self, rhs: u32, _hi: u32, f: impl Fn(u32, u32) -> u32) -> u32 {
+        f(self, rhs)
+    }
+}
+
+/// A per-opcode flag table with `ops` set, so a test is one load.
+const fn op_set(ops: &[Opcode]) -> [bool; 128] {
+    let (mut set, mut i) = ([false; 128], 0);
+    while i < ops.len() {
+        set[ops[i] as usize] = true;
+        i += 1;
+    }
+    set
+}
+
 impl Action {
     /// True when this action can run inside a dispatch loop that defers
     /// the stream cursor, the lane status, the output accumulator and
@@ -625,6 +854,24 @@ mod tests {
         assert_eq!(LoopCpy.charge().out_bytes(9), 0);
         assert!(LoopCpy.charge().writes_mem && !LoopOut.charge().writes_mem);
         assert_eq!(issue_cycles(&[SetSymT, BumpW, EmitB]), 3);
+    }
+
+    #[test]
+    fn eval_defines_exactly_the_register_ops() {
+        for &op in Opcode::ALL {
+            if op.is_register_op() {
+                assert!(op.writes_dst(), "{op}");
+            } else {
+                assert_eq!(op.eval(7u32, 1, 2, 3, 4), 7, "{op}");
+            }
+        }
+        assert_eq!(Opcode::AddI.eval(0u32, 5, 0, 0xFFFF, 0), 4);
+        assert_eq!(Opcode::AndI.eval(0u32, u32::MAX, 0, 0xFFFF, 0), 0xFFFF);
+        assert_eq!(Opcode::Sub.eval(0u32, 2, 9, 0, 0), 7);
+        assert_eq!(
+            Opcode::MovIH.eval(0x1234_5678u32, 0, 0, 0xABCD, 0),
+            0xABCD_5678
+        );
     }
 
     #[test]

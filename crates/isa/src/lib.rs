@@ -17,6 +17,12 @@
 //! See [`TransitionWord`], [`Action`], [`Opcode`], and the dispatch-model
 //! documentation on [`ExecKind`].
 //!
+//! The ISA's semantics are written once here, as data the simulator and
+//! the verifier both read: [`Charge`] (what an action costs), [`Effects`]
+//! (what it may observe or disturb beyond the registers) and
+//! [`Opcode::eval`] over a [`ValueDomain`] (the value a register op
+//! writes: `u32` for execution, intervals for the static analysis).
+//!
 //! ## Example
 //!
 //! ```
@@ -38,7 +44,8 @@ pub mod symbol;
 pub mod transition;
 
 pub use action::{
-    issue_cycles, Action, ActionFormat, Charge, Effects, Opcode, OutBytes, BLOCK_CAP, LOOP_CAP,
+    issue_cycles, Action, ActionFormat, Charge, Effects, Opcode, OutBytes, ValueDomain, BLOCK_CAP,
+    LOOP_CAP,
 };
 pub use mem::{AddressingMode, BANK_BYTES, BANK_WORDS, FALLBACK_SLOT, NUM_BANKS, TOTAL_BYTES};
 pub use reg::Reg;

@@ -210,7 +210,7 @@ pub(crate) enum FusedOp {
     },
     /// `Accept`: set the lane's accept flag.
     Accept(bool),
-    /// Every other register-to-register op.
+    /// Every other register op, run by [`Opcode::eval`].
     Alu {
         /// The opcode.
         op: Opcode,
@@ -220,9 +220,8 @@ pub(crate) enum FusedOp {
         src: u8,
         /// Reference register (Reg format).
         rref: u8,
-        /// The immediate, sign-extended for `AddI`/`SubI`/`SLtI` and
-        /// zero-extended otherwise.
-        imm: u32,
+        /// The raw immediate field.
+        imm: u16,
         /// The 4-bit immediate (Imm2 format).
         imm1: u8,
     },
@@ -269,7 +268,6 @@ fn lower_block(acts: &[Action], pool: &mut Vec<FusedOp>) -> Option<Lowered> {
     if !acts.iter().all(Action::fusable) || acts.len() > usize::from(u16::MAX) {
         return None;
     }
-    let sx = |imm: u16| i32::from(imm as i16) as u32;
     let mut ops: Vec<FusedOp> = Vec::new();
     // Worst-case output bits, and whether the output is known to sit
     // on a byte boundary (then a byte emit needs no pad).
@@ -318,7 +316,7 @@ fn lower_block(acts: &[Action], pool: &mut Vec<FusedOp>) -> Option<Lowered> {
                 byte: a.op == Opcode::LoadB,
                 dst,
                 src,
-                off: sx(a.imm),
+                off: a.op.imm_value(a.imm),
             },
             Opcode::Accept => FusedOp::Accept(a.imm != 0),
             op => FusedOp::Alu {
@@ -326,11 +324,7 @@ fn lower_block(acts: &[Action], pool: &mut Vec<FusedOp>) -> Option<Lowered> {
                 dst,
                 src,
                 rref,
-                imm: if matches!(op, Opcode::AddI | Opcode::SubI | Opcode::SLtI) {
-                    sx(a.imm)
-                } else {
-                    imm
-                },
+                imm: a.imm,
                 imm1: a.imm1,
             },
         };

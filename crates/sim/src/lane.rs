@@ -927,51 +927,37 @@ impl Lane {
         out: &mut OutputSink,
     ) -> u32 {
         use Opcode::*;
-        let imm = u32::from(a.imm);
-        let simm = i32::from(a.imm as i16) as u32;
-        let sv = self.rd(a.src, stream);
-        // `rref` is only consulted by the two-operand ALU and loop ops;
-        // reading it eagerly would put an extra (R15-branching)
-        // register fetch on every action, so rv-using arms expand this.
-        macro_rules! rv {
-            () => {
-                self.rd(a.rref, stream)
-            };
-        }
-        let byte_origin = self.origin * 4;
         // The bulk charge is read in the loop arms, where the opcode is
         // known, so the hot path computes only the issue cycles here.
         self.cycles += u64::from(a.op.charge().issue);
+        // Every operand `eval` may read is read here, ahead of the match:
+        // with nothing left between this match's default arm and `eval`'s
+        // own, the two compile to one opcode jump table.
+        let sv = self.rd(a.src, stream);
+        let d = self.rd(a.dst, stream);
+        let rv = self.rd(a.rref, stream);
+        let (imm16, imm1) = (a.imm, a.imm1);
+        // Read in the arms, where the opcode is known, so the extension
+        // rule folds to a constant.
+        let imm = || a.op.imm_value(a.imm);
+        let byte_origin = self.origin * 4;
         match a.op {
             Nop => {}
-            MovI => self.wr(a.dst, imm),
-            MovIH => {
-                let old = self.rd(a.dst, stream);
-                self.wr(a.dst, (old & 0xFFFF) | (imm << 16));
-            }
-            AddI => self.wr(a.dst, sv.wrapping_add(simm)),
-            SubI => self.wr(a.dst, sv.wrapping_sub(simm)),
-            AndI => self.wr(a.dst, sv & imm),
-            OrI => self.wr(a.dst, sv | imm),
-            XorI => self.wr(a.dst, sv ^ imm),
-            ShlI => self.wr(a.dst, sv << (imm & 31)),
-            ShrI => self.wr(a.dst, sv >> (imm & 31)),
-            SarI => self.wr(a.dst, ((sv as i32) >> (imm & 31)) as u32),
             LoadW => {
-                let v = mem.read_word(byte_origin.wrapping_add(sv.wrapping_add(simm)) / 4);
+                let v = mem.read_word(byte_origin.wrapping_add(sv.wrapping_add(imm())) / 4);
                 self.wr(a.dst, v);
             }
             StoreW => {
-                let addr = byte_origin.wrapping_add(self.rd(a.dst, stream).wrapping_add(simm));
+                let addr = byte_origin.wrapping_add(d.wrapping_add(imm()));
                 self.note_write(addr / 4);
                 mem.write_word(addr / 4, sv);
             }
             LoadB => {
-                let v = mem.read_byte(byte_origin.wrapping_add(sv.wrapping_add(simm)));
+                let v = mem.read_byte(byte_origin.wrapping_add(sv.wrapping_add(imm())));
                 self.wr(a.dst, u32::from(v));
             }
             StoreB => {
-                let addr = byte_origin.wrapping_add(self.rd(a.dst, stream).wrapping_add(simm));
+                let addr = byte_origin.wrapping_add(d.wrapping_add(imm()));
                 self.note_write(addr / 4);
                 mem.write_byte(addr, sv as u8);
             }
@@ -995,33 +981,30 @@ impl Lane {
                     });
                 }
             }
-            SetBase => self.wbase = self.origin + imm,
-            SetABase => self.abase = self.origin + sv.wrapping_add(imm),
-            SetAScale => self.ascale = (imm & 7) as u8,
-            SEqI => self.wr(a.dst, u32::from(sv == imm)),
-            SLtI => self.wr(a.dst, u32::from((sv as i32) < simm as i32)),
-            SLtUI => self.wr(a.dst, u32::from(sv < imm)),
-            ReadBits => match stream.read((imm & 31).max(1) as u8) {
+            SetBase => self.wbase = self.origin + imm(),
+            SetABase => self.abase = self.origin + sv.wrapping_add(imm()),
+            SetAScale => self.ascale = (imm() & 7) as u8,
+            ReadBits => match stream.read((imm() & 31).max(1) as u8) {
                 Some(v) => self.wr(a.dst, v),
                 None => self.status = LaneStatus::InputExhausted,
             },
             PeekBits => {
-                let v = stream.peek((imm & 31).max(1) as u8).unwrap_or(0);
+                let v = stream.peek((imm() & 31).max(1) as u8).unwrap_or(0);
                 self.wr(a.dst, v);
             }
             BumpW => {
                 // Read-modify-write: 2 references.
-                let addr = byte_origin.wrapping_add(imm.wrapping_add(sv.wrapping_mul(4))) / 4;
+                let addr = byte_origin.wrapping_add(imm().wrapping_add(sv.wrapping_mul(4))) / 4;
                 self.note_write(addr);
                 let v = mem.read_word(addr).wrapping_add(1);
                 mem.write_word(addr, v);
                 self.wr(a.dst, v);
             }
-            EmitB => out.push_byte(sv.wrapping_add(imm) as u8),
+            EmitB => out.push_byte(sv.wrapping_add(imm()) as u8),
             EmitW => out.push_bytes(&sv.to_le_bytes()),
-            SkipB => stream.skip_bytes(sv.wrapping_add(imm)),
+            SkipB => stream.skip_bytes(sv.wrapping_add(imm())),
             RefillI => {
-                let bits = (imm & 15).min(8) as u8;
+                let bits = (imm() & 15).min(8) as u8;
                 if u64::from(bits) > stream.bit_index() {
                     self.status = LaneStatus::Fault(FaultKind::StreamUnderflow {
                         requested_bits: bits,
@@ -1034,78 +1017,15 @@ impl Lane {
             Report => self.reports.push((a.imm, stream.byte_index())),
             Accept => self.accept = a.imm != 0,
             Halt => self.status = LaneStatus::Halted(a.imm),
-            Crc => {
-                let mut crc = self.rd(a.dst, stream) ^ (sv & 0xFF);
-                for _ in 0..8 {
-                    let mask = (crc & 1).wrapping_neg();
-                    crc = (crc >> 1) ^ (0x82F6_3B78 & mask);
-                }
-                self.wr(a.dst, crc);
-            }
-            FnvB => {
-                let h = (self.rd(a.dst, stream) ^ sv).wrapping_mul(0x0100_0193);
-                self.wr(a.dst, h);
-            }
-            Hash => {
-                let h = sv.wrapping_mul(0x9E37_79B1);
-                let v = if (1..32).contains(&a.imm) {
-                    h >> (32 - a.imm as u32)
-                } else {
-                    h
-                };
-                self.wr(a.dst, v);
-            }
-            InIdx => self.wr(a.dst, stream.byte_index().wrapping_add(simm)),
-            Clz => self.wr(a.dst, sv.leading_zeros()),
-            Popcnt => self.wr(a.dst, sv.count_ones()),
-            OutIdx => self.wr(a.dst, (out.len() as u32).wrapping_add(simm)),
+            InIdx => self.wr(a.dst, stream.byte_index().wrapping_add(imm())),
+            OutIdx => self.wr(a.dst, (out.len() as u32).wrapping_add(imm())),
             AtEof => self.wr(a.dst, u32::from(stream.at_end())),
             EmitBits => out.push_bits(sv, a.imm1.clamp(1, 16)),
-            Extract => {
-                let width = (a.imm & 0x1F).max(1);
-                let mask = if width >= 32 {
-                    u32::MAX
-                } else {
-                    (1 << width) - 1
-                };
-                self.wr(a.dst, (sv >> a.imm1) & mask);
-            }
-            Deposit => {
-                let old = self.rd(a.dst, stream);
-                self.wr(a.dst, (old << a.imm1) | (sv & ((1 << a.imm1.max(1)) - 1)));
-            }
-            SkipIfZ => {
-                if sv == 0 {
-                    return u32::from(a.imm1);
-                }
-            }
-            SkipIfNz => {
-                if sv != 0 {
-                    return u32::from(a.imm1);
-                }
-            }
-            Mov => self.wr(a.dst, sv),
-            Add => self.wr(a.dst, rv!().wrapping_add(sv)),
-            Sub => self.wr(a.dst, rv!().wrapping_sub(sv)),
-            And => self.wr(a.dst, rv!() & sv),
-            Or => self.wr(a.dst, rv!() | sv),
-            Xor => self.wr(a.dst, rv!() ^ sv),
-            Shl => self.wr(a.dst, rv!() << (sv & 31)),
-            Shr => self.wr(a.dst, rv!() >> (sv & 31)),
-            Mul => self.wr(a.dst, rv!().wrapping_mul(sv)),
-            Min => self.wr(a.dst, rv!().min(sv)),
-            Max => self.wr(a.dst, rv!().max(sv)),
-            SEq => self.wr(a.dst, u32::from(rv!() == sv)),
-            SLt => self.wr(a.dst, u32::from((rv!() as i32) < (sv as i32))),
-            SLtU => self.wr(a.dst, u32::from(rv!() < sv)),
-            Sel => {
-                if rv!() != 0 {
-                    self.wr(a.dst, sv);
-                }
-            }
+            SkipIfZ if sv == 0 => return u32::from(a.imm1),
+            SkipIfNz if sv != 0 => return u32::from(a.imm1),
+            SkipIfZ | SkipIfNz => {}
             LoopCmp => {
                 // Stream-window vs stream-window compare, 8 bytes/cycle.
-                let rv = rv!();
                 let limit = self.regs[14].min(LOOP_CAP);
                 let mut n = 0u32;
                 while n < limit
@@ -1117,7 +1037,6 @@ impl Lane {
                 self.wr(a.dst, n);
             }
             LoopCmpM => {
-                let rv = rv!();
                 let limit = self.regs[14].min(LOOP_CAP);
                 let mut n = 0u32;
                 while n < limit
@@ -1131,23 +1050,20 @@ impl Lane {
                 self.wr(a.dst, n);
             }
             LoopCpy => {
-                let rv = rv!();
                 let Some(n) = self.loop_len(sv) else { return 0 };
                 // Bulk writes anywhere end the pristine-code fast path
                 // (conservative; re-validation keeps semantics exact).
                 self.code_clean = false;
-                let dst_addr = self.rd(a.dst, stream);
                 // Counted writes charge n refs; the reads fold into the
                 // 8-byte datapath model.
                 mem.copy_bytes_counted(
                     byte_origin.wrapping_add(rv),
-                    byte_origin.wrapping_add(dst_addr),
+                    byte_origin.wrapping_add(d),
                     n,
                 );
                 self.cycles += a.op.charge().bulk_cycles(n);
             }
             LoopOut => {
-                let rv = rv!();
                 let Some(n) = self.loop_len(sv) else { return 0 };
                 if n > 0 {
                     out.push_bytes_with(|dst| {
@@ -1158,7 +1074,6 @@ impl Lane {
                 self.cycles += a.op.charge().bulk_cycles(n);
             }
             LoopBack => {
-                let rv = rv!();
                 let Some(n) = self.loop_len(sv) else { return 0 };
                 if rv == 0 || (rv as usize) > out.len() {
                     self.status = LaneStatus::Fault(FaultKind::Addressing {
@@ -1171,16 +1086,15 @@ impl Lane {
                 self.cycles += a.op.charge().bulk_cycles(n);
             }
             LoopIn => {
-                let rv = rv!();
                 let Some(n) = self.loop_len(sv) else { return 0 };
                 if n > 0 {
                     out.push_bytes_with(|dst| stream.extend_bytes_into(rv, n as usize, dst));
                 }
                 self.cycles += a.op.charge().bulk_cycles(n);
             }
-            PeekAt => self.wr(a.dst, u32::from(stream.byte_at(rv!().wrapping_add(sv)))),
+            PeekAt => self.wr(a.dst, u32::from(stream.byte_at(rv.wrapping_add(sv)))),
             PeekW => {
-                let base = rv!().wrapping_add(sv);
+                let base = rv.wrapping_add(sv);
                 let v = u32::from_le_bytes([
                     stream.byte_at(base),
                     stream.byte_at(base.wrapping_add(1)),
@@ -1189,11 +1103,9 @@ impl Lane {
                 ]);
                 self.wr(a.dst, v);
             }
-            SubSat => self.wr(a.dst, rv!().saturating_sub(sv)),
-            Hash2 => {
-                let h = (rv!() ^ sv.wrapping_mul(0x9E37_79B9)).wrapping_mul(0x9E37_79B1);
-                self.wr(a.dst, h);
-            }
+            // The register ops: the ISA's one definition of their values.
+            // The register ops: the ISA's one definition of their values.
+            op => self.wr(a.dst, op.eval(d, sv, rv, imm16, imm1)),
         }
         0
     }

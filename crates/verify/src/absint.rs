@@ -22,7 +22,7 @@ use crate::checks::ReachInfo;
 use crate::graph::{ActionBlock, ArcInfo, ProgramGraph, Slot};
 use std::collections::VecDeque;
 use udp_asm::ProgramImage;
-use udp_isa::action::{Action, ActionFormat, Opcode};
+use udp_isa::action::{Action, Opcode, ValueDomain};
 use udp_isa::transition::ExecKind;
 use udp_isa::{Reg, LOOP_CAP};
 
@@ -71,16 +71,25 @@ impl Interval {
         }
     }
 
-    /// Converts a signed 64-bit range, going to `TOP` when any part
-    /// falls outside `u32` (i.e. the concrete op may wrap).
+    /// The values `lo..=hi` of a signed 64-bit computation taken modulo
+    /// 2^32: exact when the range lies within one 2^32 window, else `TOP`.
     fn from_i64(lo: i64, hi: i64) -> Interval {
-        if lo < 0 || hi > i64::from(u32::MAX) || lo > hi {
-            Interval::TOP
+        let w = lo.div_euclid(1 << 32);
+        if hi.div_euclid(1 << 32) != w {
+            return Interval::TOP;
+        }
+        Interval {
+            lo: (lo - (w << 32)) as u32,
+            hi: (hi - (w << 32)) as u32,
+        }
+    }
+
+    /// `f` of the two values when both are known, else `otherwise`.
+    fn fold(self, rhs: Interval, f: impl Fn(u32, u32) -> u32, otherwise: Interval) -> Interval {
+        if self.is_exact() && rhs.is_exact() {
+            Interval::exact(f(self.lo, rhs.lo))
         } else {
-            Interval {
-                lo: lo as u32,
-                hi: hi as u32,
-            }
+            otherwise
         }
     }
 
@@ -116,9 +125,111 @@ impl Interval {
     }
 }
 
-/// Smallest number of bits that can hold `x`.
-fn bits_needed(x: u32) -> u32 {
-    32 - x.leading_zeros()
+/// `x` with every bit below its highest set bit set: the largest value
+/// with no more bits than `x`.
+fn smear(x: u32) -> u32 {
+    u32::MAX.checked_shr(x.leading_zeros()).unwrap_or(0)
+}
+
+/// Interval semantics of the ISA's value operations: each result covers
+/// the concrete ([`u32`]) result of every pair of members.
+impl ValueDomain for Interval {
+    fn exact(v: u32) -> Interval {
+        Interval::exact(v)
+    }
+
+    fn add(self, rhs: Interval) -> Interval {
+        let lo = i64::from(self.lo) + i64::from(rhs.lo);
+        Interval::from_i64(lo, i64::from(self.hi) + i64::from(rhs.hi))
+    }
+
+    fn sub(self, rhs: Interval) -> Interval {
+        let lo = i64::from(self.lo) - i64::from(rhs.hi);
+        Interval::from_i64(lo, i64::from(self.hi) - i64::from(rhs.lo))
+    }
+
+    fn mul(self, rhs: Interval) -> Interval {
+        // Products of `u32`s fit a `u64`; one 2^32 window keeps the order.
+        let lo = u64::from(self.lo) * u64::from(rhs.lo);
+        let hi = u64::from(self.hi) * u64::from(rhs.hi);
+        if lo >> 32 == hi >> 32 {
+            Interval::of(lo as u32, hi as u32)
+        } else {
+            Interval::TOP
+        }
+    }
+
+    fn and(self, rhs: Interval) -> Interval {
+        let hi = self.hi.min(rhs.hi);
+        self.fold(rhs, <u32 as ValueDomain>::and, Interval::of(0, hi))
+    }
+
+    fn or(self, rhs: Interval) -> Interval {
+        // `x | y <= a | smear(b)` for `x <= a`, `y <= b`, and symmetrically.
+        let hi = (self.hi | smear(rhs.hi)).min(smear(self.hi) | rhs.hi);
+        let range = Interval::of(self.lo.max(rhs.lo), hi);
+        self.fold(rhs, <u32 as ValueDomain>::or, range)
+    }
+
+    fn xor(self, rhs: Interval) -> Interval {
+        let hi = smear(self.hi.max(rhs.hi));
+        self.fold(rhs, <u32 as ValueDomain>::xor, Interval::of(0, hi))
+    }
+
+    fn shl(self, rhs: Interval) -> Interval {
+        if !rhs.is_exact() {
+            return Interval::TOP;
+        }
+        let s = rhs.lo & 31;
+        Interval::from_i64(i64::from(self.lo) << s, i64::from(self.hi) << s)
+    }
+
+    fn shr(self, rhs: Interval) -> Interval {
+        if !rhs.is_exact() {
+            return Interval::of(0, self.hi);
+        }
+        let s = rhs.lo & 31;
+        Interval::of(self.lo >> s, self.hi >> s)
+    }
+
+    fn sar(self, rhs: Interval) -> Interval {
+        // Logical and arithmetic shifts agree on values below 2^31.
+        let range = if self.hi < 1 << 31 {
+            self.shr(rhs)
+        } else {
+            Interval::TOP
+        };
+        self.fold(rhs, <u32 as ValueDomain>::sar, range)
+    }
+
+    fn umin(self, rhs: Interval) -> Interval {
+        Interval::of(self.lo.min(rhs.lo), self.hi.min(rhs.hi))
+    }
+
+    fn umax(self, rhs: Interval) -> Interval {
+        Interval::of(self.lo.max(rhs.lo), self.hi.max(rhs.hi))
+    }
+
+    fn sub_sat(self, rhs: Interval) -> Interval {
+        Interval::of(
+            self.lo.saturating_sub(rhs.hi),
+            self.hi.saturating_sub(rhs.lo),
+        )
+    }
+
+    fn select(self, then: Interval, other: Interval) -> Interval {
+        if self.lo > 0 {
+            then
+        } else if self.hi == 0 {
+            other
+        } else {
+            then.join(other)
+        }
+    }
+
+    fn opaque(self, rhs: Interval, hi: u32, f: impl Fn(u32, u32) -> u32) -> Interval {
+        self.fold(rhs, f, Interval::of(0, hi))
+    }
 }
 
 /// One abstract register file: an interval per scalar register.
@@ -157,23 +268,6 @@ impl AbsInt {
         latch_symbol(&mut env, arc, reach.entered[arc.state]);
         Some(env)
     }
-
-    /// The environment before each action of `arc`'s block (empty when
-    /// the arc has no block). `None` when the owning state is
-    /// unreached.
-    pub fn arc_action_envs(
-        &self,
-        graph: &ProgramGraph,
-        reach: &ReachInfo,
-        ai: usize,
-    ) -> Option<Vec<RegEnv>> {
-        let env = self.arc_block_entry(graph, reach, ai)?;
-        let arc = &graph.arcs[ai];
-        Some(match &arc.block {
-            Some(block) => block_action_envs(env, block).0,
-            None => Vec::new(),
-        })
-    }
 }
 
 /// True when a state entered with `kind` reads its labeled slots.
@@ -203,7 +297,7 @@ fn latch_symbol(env: &mut RegEnv, arc: &ArcInfo, entered: Option<ExecKind>) {
 }
 
 /// Reads a register interval, honoring the `R15` stream-index alias.
-fn rd(env: &RegEnv, r: Reg) -> Interval {
+pub(crate) fn rd(env: &RegEnv, r: Reg) -> Interval {
     if r == Reg::R15 {
         Interval::TOP
     } else {
@@ -223,20 +317,33 @@ fn wr(env: &mut RegEnv, r: Reg, v: Interval, conditional: bool) {
 }
 
 /// Threads `env` through one block, returning the environment *before*
-/// each action plus whether the block's final action could be skipped
-/// by a `SkipIfZ`/`SkipIfNz` shadow (in which case a static walk of the
-/// recorded block diverges from the machine — the cost pass refuses to
-/// certify such an arc).
-pub(crate) fn block_action_envs(mut env: RegEnv, block: &ActionBlock) -> (Vec<RegEnv>, bool) {
+/// each action with whether a `SkipIfZ`/`SkipIfNz` shadow may skip the
+/// action, plus whether the block's final action could be skipped (in
+/// which case a static walk of the recorded block diverges from the
+/// machine — the cost pass refuses to certify such an arc).
+pub(crate) fn block_action_envs(env: RegEnv, block: &ActionBlock) -> (Vec<(RegEnv, bool)>, bool) {
     let mut envs = Vec::with_capacity(block.actions.len());
+    let (_, last_conditional) =
+        walk_block(env, block, |env, skippable| envs.push((*env, skippable)));
+    (envs, last_conditional)
+}
+
+/// Threads `env` through one block, showing `before` the environment
+/// ahead of each action and whether the action may be skipped; returns
+/// the exit environment and whether the final action could be skipped.
+fn walk_block(
+    mut env: RegEnv,
+    block: &ActionBlock,
+    mut before: impl FnMut(&RegEnv, bool),
+) -> (RegEnv, bool) {
     let mut shadow = 0u8;
     // Once a skip itself sits under a shadow, the extent of *its*
     // shadow is unknown statically; everything after is conditional.
     let mut sticky = false;
     let mut last_conditional = false;
     for &(_, a) in &block.actions {
-        envs.push(env);
         let conditional = sticky || shadow > 0;
+        before(&env, conditional);
         shadow = shadow.saturating_sub(1);
         if matches!(a.op, Opcode::SkipIfZ | Opcode::SkipIfNz) {
             if conditional {
@@ -250,7 +357,7 @@ pub(crate) fn block_action_envs(mut env: RegEnv, block: &ActionBlock) -> (Vec<Re
         }
         transfer(&mut env, &a, conditional);
     }
-    (envs, last_conditional)
+    (env, last_conditional)
 }
 
 /// Runs the worklist fixpoint over every reached state.
@@ -290,7 +397,7 @@ pub fn analyze(image: &ProgramImage, graph: &ProgramGraph, reach: &ReachInfo) ->
             let mut out = env;
             latch_symbol(&mut out, arc, reach.entered[s]);
             if let Some(block) = &arc.block {
-                out = block_exit_env(out, block);
+                out = walk_block(out, block, |_, _| {}).0;
             }
             let changed = match result.state_envs[ti] {
                 None => {
@@ -317,25 +424,6 @@ pub fn analyze(image: &ProgramImage, graph: &ProgramGraph, reach: &ReachInfo) ->
     result
 }
 
-/// The environment after a whole block has run.
-fn block_exit_env(mut env: RegEnv, block: &ActionBlock) -> RegEnv {
-    let mut shadow = 0u8;
-    let mut sticky = false;
-    for &(_, a) in &block.actions {
-        let conditional = sticky || shadow > 0;
-        shadow = shadow.saturating_sub(1);
-        if matches!(a.op, Opcode::SkipIfZ | Opcode::SkipIfNz) {
-            if conditional {
-                sticky = true;
-            } else {
-                shadow = a.imm1;
-            }
-        }
-        transfer(&mut env, &a, conditional);
-    }
-    env
-}
-
 /// Per-register join (with widening after the join budget runs out).
 fn join_envs(old: &RegEnv, new: &RegEnv, widen: bool) -> RegEnv {
     let mut out = *old;
@@ -346,180 +434,30 @@ fn join_envs(old: &RegEnv, new: &RegEnv, widen: bool) -> RegEnv {
     out
 }
 
-/// The abstract transfer function for one action, mirroring the lane
-/// interpreter's `exec` value semantics (`crates/sim/src/lane.rs`).
-/// Ops with no register result (stores, emits, stream moves, config)
-/// leave the environment unchanged — their *cost* is the cost pass's
-/// business, not the value domain's.
+/// The abstract transfer function for one action: [`Opcode::eval`] over
+/// intervals for the register ops, and a fixed range for the ops whose
+/// result comes from memory, the stream or the output cursor.
+/// Ops that write no register leave the environment unchanged — their
+/// *cost* is the cost pass's business, not the value domain's.
 pub(crate) fn transfer(env: &mut RegEnv, a: &Action, conditional: bool) {
     use Opcode::*;
-    let imm = u32::from(a.imm);
-    let simm = i64::from(a.imm as i16);
-    let sv = rd(env, a.src);
-    let dv = rd(env, a.dst);
-    let rv = || {
-        if a.op.format() == ActionFormat::Reg {
-            rd(env, a.rref)
-        } else {
-            Interval::TOP
-        }
-    };
+    if !a.op.writes_dst() {
+        return;
+    }
     let value = match a.op {
-        MovI => Interval::exact(imm),
-        MovIH => {
-            if dv.is_exact() {
-                Interval::exact((dv.lo & 0xFFFF) | (imm << 16))
-            } else {
-                Interval::of(imm << 16, (imm << 16) | 0xFFFF)
-            }
-        }
-        AddI => Interval::from_i64(i64::from(sv.lo) + simm, i64::from(sv.hi) + simm),
-        SubI => Interval::from_i64(i64::from(sv.lo) - simm, i64::from(sv.hi) - simm),
-        AndI => {
-            if sv.is_exact() {
-                Interval::exact(sv.lo & imm)
-            } else {
-                Interval::of(0, sv.hi.min(imm))
-            }
-        }
-        OrI => {
-            if sv.is_exact() {
-                Interval::exact(sv.lo | imm)
-            } else {
-                let b = bits_needed(sv.hi.max(imm));
-                Interval::of(sv.lo.max(imm), Interval::of_bits(b).hi.max(sv.lo.max(imm)))
-            }
-        }
-        XorI => {
-            if sv.is_exact() {
-                Interval::exact(sv.lo ^ imm)
-            } else {
-                Interval::of(0, Interval::of_bits(bits_needed(sv.hi.max(imm))).hi)
-            }
-        }
-        ShlI => {
-            let s = imm & 31;
-            Interval::from_i64(i64::from(sv.lo) << s, i64::from(sv.hi) << s)
-        }
-        ShrI => {
-            let s = imm & 31;
-            Interval::of(sv.lo >> s, sv.hi >> s)
-        }
-        SarI => {
-            if sv.hi < 0x8000_0000 {
-                let s = imm & 31;
-                Interval::of(sv.lo >> s, sv.hi >> s)
-            } else {
-                Interval::TOP
-            }
-        }
-        LoadW | BumpW | Crc | FnvB | Hash2 | PeekW => Interval::TOP,
+        LoadW | BumpW | PeekW | InIdx | OutIdx => Interval::TOP,
         LoadB | PeekAt => Interval::of(0, 255),
-        SEqI | SLtI | SLtUI | SEq | SLt | SLtU | AtEof => Interval::of(0, 1),
-        ReadBits | PeekBits => Interval::of_bits((imm & 31).max(1)),
-        Hash => {
-            if (1..32).contains(&a.imm) {
-                Interval::of_bits(u32::from(a.imm))
-            } else {
-                Interval::TOP
-            }
-        }
-        InIdx | OutIdx => Interval::TOP,
-        Clz | Popcnt => Interval::of(0, 32),
-        Extract => {
-            let width = u32::from(a.imm & 0x1F).max(1);
-            let mask = Interval::of_bits(width).hi;
-            if sv.is_exact() {
-                Interval::exact((sv.lo >> a.imm1) & mask)
-            } else {
-                Interval::of(0, mask.min(sv.hi >> a.imm1))
-            }
-        }
-        Deposit => {
-            let m = i64::from(Interval::of_bits(u32::from(a.imm1.max(1))).hi);
-            Interval::from_i64(i64::from(dv.lo) << a.imm1, (i64::from(dv.hi) << a.imm1) | m)
-        }
-        Mov => sv,
-        Add => {
-            let r = rv();
-            Interval::from_i64(
-                i64::from(r.lo) + i64::from(sv.lo),
-                i64::from(r.hi) + i64::from(sv.hi),
-            )
-        }
-        Sub => {
-            let r = rv();
-            Interval::from_i64(
-                i64::from(r.lo) - i64::from(sv.hi),
-                i64::from(r.hi) - i64::from(sv.lo),
-            )
-        }
-        And => Interval::of(0, rv().hi.min(sv.hi)),
-        Or => {
-            let r = rv();
-            let b = bits_needed(r.hi.max(sv.hi));
-            Interval::of(
-                r.lo.max(sv.lo),
-                Interval::of_bits(b).hi.max(r.lo.max(sv.lo)),
-            )
-        }
-        Xor => Interval::of(0, Interval::of_bits(bits_needed(rv().hi.max(sv.hi))).hi),
-        Shl => {
-            let r = rv();
-            if sv.is_exact() {
-                let s = sv.lo & 31;
-                Interval::from_i64(i64::from(r.lo) << s, i64::from(r.hi) << s)
-            } else {
-                Interval::TOP
-            }
-        }
-        Shr => {
-            let r = rv();
-            if sv.is_exact() {
-                let s = sv.lo & 31;
-                Interval::of(r.lo >> s, r.hi >> s)
-            } else {
-                Interval::of(0, r.hi)
-            }
-        }
-        Mul => {
-            let r = rv();
-            match (
-                u64::from(r.lo).checked_mul(u64::from(sv.lo)),
-                u64::from(r.hi).checked_mul(u64::from(sv.hi)),
-            ) {
-                (Some(lo), Some(hi)) if hi <= u64::from(u32::MAX) => {
-                    Interval::of(lo as u32, hi as u32)
-                }
-                _ => Interval::TOP,
-            }
-        }
-        Min => {
-            let r = rv();
-            Interval::of(r.lo.min(sv.lo), r.hi.min(sv.hi))
-        }
-        Max => {
-            let r = rv();
-            Interval::of(r.lo.max(sv.lo), r.hi.max(sv.hi))
-        }
-        SubSat => {
-            let r = rv();
-            Interval::of(r.lo.saturating_sub(sv.hi), r.hi.saturating_sub(sv.lo))
-        }
-        Sel => {
-            // Conditional move: may keep the old value.
-            wr(env, a.dst, sv, true);
-            return;
-        }
-        LoopCmp | LoopCmpM => {
-            // Prefix length, capped by R14 and the architectural cap.
-            let limit = env[14].hi.min(LOOP_CAP);
-            Interval::of(0, limit)
-        }
-        // No register result.
-        Nop | SetSym | SetSymT | SetBase | SetABase | SetAScale | StoreW | StoreB | EmitB
-        | EmitW | SkipB | RefillI | Report | Accept | Halt | EmitBits | SkipIfZ | SkipIfNz
-        | LoopCpy | LoopOut | LoopBack | LoopIn => return,
+        AtEof => Interval::of(0, 1),
+        ReadBits | PeekBits => Interval::of_bits(u32::from(a.imm & 31).max(1)),
+        // Prefix length, capped by R14 and the architectural cap.
+        LoopCmp | LoopCmpM => Interval::of(0, env[14].hi.min(LOOP_CAP)),
+        op => op.eval(
+            rd(env, a.dst),
+            rd(env, a.src),
+            rd(env, a.rref),
+            a.imm,
+            a.imm1,
+        ),
     };
     wr(env, a.dst, value, conditional);
 }

@@ -52,7 +52,7 @@
 //! certificate absorbs the telescoped total as `+1` cycle/byte and
 //! `+1` output byte/byte per distinct mark register.
 
-use crate::absint::{block_action_envs, AbsInt, Interval, RegEnv};
+use crate::absint::{block_action_envs, rd, AbsInt, Interval, RegEnv};
 use crate::checks::ReachInfo;
 use crate::graph::{action_write, ProgramGraph, Slot};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -61,7 +61,7 @@ use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::{CostBlocker, CostMetric, ProgramImage, ResourceCert};
 use udp_isa::action::{Action, Opcode, OutBytes};
 use udp_isa::transition::{ExecKind, FALLBACK_SIGNATURE};
-use udp_isa::{Reg, LOOP_CAP};
+use udp_isa::LOOP_CAP;
 
 /// Maximum spread (max − min) of `InIdx` offsets written to a span
 /// mark register before amortization is refused. Offsets are tiny in
@@ -87,10 +87,6 @@ struct SpanSite {
     mark: u8,
     off0: i64,
     off4: i64,
-}
-
-fn sx(imm: u16) -> i64 {
-    i64::from(imm as i16)
 }
 
 fn symbol_entered(kind: Option<ExecKind>) -> bool {
@@ -167,7 +163,7 @@ fn amortized_marks(
                 continue;
             }
             if a.op == Opcode::InIdx {
-                let off = sx(a.imm);
+                let off = i64::from(a.op.imm_value(a.imm) as i32);
                 let e = offsets.entry(w.index()).or_insert((off, off));
                 e.0 = e.0.min(off);
                 e.1 = e.1.max(off);
@@ -512,7 +508,7 @@ pub(crate) fn certify(
 /// table; bulk-loop lengths are bounded through the interval domain.
 fn walk_block(
     b: &crate::graph::ActionBlock,
-    envs: &[RegEnv],
+    envs: &[(RegEnv, bool)],
     amortized: bool,
     marks: &BTreeMap<u8, MarkInfo>,
     span_bytes: u64,
@@ -522,27 +518,9 @@ fn walk_block(
     let mut cost = 0u64;
     let mut gain = 0i64;
     let mut out = 0u64;
-    let mut shadow = 0u8;
-    let mut sticky = false;
-    let rd = |env: &RegEnv, r: Reg| -> Interval {
-        if r == Reg::R15 {
-            Interval::TOP
-        } else {
-            env[r.index() as usize]
-        }
-    };
     let code_store = "store may overwrite program code";
     for (i, &(addr, a)) in b.actions.iter().enumerate() {
-        let env = envs.get(i).copied().unwrap_or([Interval::TOP; 16]);
-        let conditional = sticky || shadow > 0;
-        shadow = shadow.saturating_sub(1);
-        if matches!(a.op, SkipIfZ | SkipIfNz) {
-            if conditional {
-                sticky = true;
-            } else {
-                shadow = a.imm1;
-            }
-        }
+        let (env, conditional) = envs[i];
         let charge = a.op.charge();
         cost += u64::from(charge.issue);
         let mut n_hi = 0u32;
@@ -586,7 +564,7 @@ fn walk_block(
             }
             StoreW | StoreB => {
                 let dv = rd(&env, a.dst);
-                let lo = i64::from(dv.lo) + sx(a.imm);
+                let lo = i64::from(dv.lo) + i64::from(a.op.imm_value(a.imm) as i32);
                 if lo < 0 || (lo as u64) < span_bytes || dv.is_top() {
                     block(CostMetric::Cycles, Some(addr), code_store);
                 }
@@ -626,6 +604,7 @@ mod tests {
     use crate::checks::compute_reach;
     use udp_asm::{LayoutOptions, ProgramBuilder, Target};
     use udp_isa::action::Action;
+    use udp_isa::Reg;
 
     fn certify_image(image: &ProgramImage) -> ResourceCert {
         let graph = ProgramGraph::decode(image);

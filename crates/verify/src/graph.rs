@@ -355,21 +355,9 @@ pub fn action_reads(a: &Action) -> Vec<udp_isa::Reg> {
     reads
 }
 
-/// The register an action writes, if any.
+/// The register an action writes, if any ([`Opcode::writes_dst`]).
 pub fn action_write(a: &Action) -> Option<udp_isa::Reg> {
-    use Opcode::*;
-    match a.op {
-        // Imm format.
-        MovI | MovIH | AddI | SubI | AndI | OrI | XorI | ShlI | ShrI | SarI | LoadW | LoadB
-        | SEqI | SLtI | SLtUI | ReadBits | BumpW | Crc | Hash | FnvB | InIdx | Clz | Popcnt
-        | OutIdx | PeekBits | AtEof => Some(a.dst),
-        // Imm2 format.
-        Extract | Deposit => Some(a.dst),
-        // Reg format.
-        Mov | Add | Sub | And | Or | Xor | Shl | Shr | Mul | Min | Max | SEq | SLt | SLtU | Sel
-        | LoopCmp | LoopCmpM | PeekAt | PeekW | SubSat | Hash2 => Some(a.dst),
-        _ => None,
-    }
+    a.op.writes_dst().then_some(a.dst)
 }
 
 #[cfg(test)]

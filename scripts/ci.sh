@@ -117,16 +117,6 @@ echo "== serve smoke gate (DESIGN.md §10.6) =="
 # results/BENCH_serve_fuzz.json artifact.
 cargo run --release -q -p udp-bench --bin serve_fuzz -- --smoke --seed 0xC1 --json
 
-echo "== servebench: service throughput/latency trend (non-gating, DESIGN.md §10.7) =="
-# Client-observed p50/p99 and aggregate MB/s for the small-rows and
-# bulk-chunks shapes; numbers are machine-dependent, so this only
-# refreshes results/BENCH_serve.json and never fails the build.
-(
-  set +e
-  cargo run --release -q -p udp-bench --bin servebench -- --tenants 4 --jobs 32 --json
-  exit 0
-)
-
 echo "== hostperf: compiled-backend speedup gate + trend smoke (DESIGN.md §2.6.2–3) =="
 # One hostperf run serves two purposes. Gating: the compiled backend
 # must hold >= 2x the predecoded interpreter's MB/s on the csv
