@@ -110,17 +110,20 @@ impl ProgramImage {
 /// Every word offset gets both interpretations decoded up front: the
 /// [`TransitionWord`] view (total — every `u32` decodes) and the
 /// [`Action`] view (`None` for undecodable action words, which the
-/// lane turns into a fault exactly as the lazy path does). The raw
-/// words are kept alongside so the table can be *validated* against
-/// live memory: restricted/global addressing lets a program write into
-/// its own code words, and a lookup whose raw word no longer matches
-/// simply misses, sending the lane back to the decode-on-read slow
-/// path. Cycle, reference, and conflict accounting are unaffected —
-/// this is purely a host-side representation change.
+/// lane turns into a fault exactly as a decode on read does). The
+/// table stands for the image's words only while the code is pristine:
+/// a lane reads it while its code span holds the verbatim image, and
+/// decodes the word it reads from memory otherwise (restricted/global
+/// addressing lets a program write into its own code). The raw words
+/// are kept beside the views because the dispatch hit test reads the
+/// signature straight from the raw bits and an undecodable action is
+/// reported with its raw word. Cycle, reference, and conflict
+/// accounting are unaffected — this is purely a host-side
+/// representation change.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    /// `(raw word, transition view)` pairs — interleaved so a validated
-    /// lookup touches one slot (one bounds check, one cache line).
+    /// `(raw word, transition view)` pairs — interleaved so a lookup
+    /// touches one slot (one bounds check, one cache line).
     transitions: Vec<(Word, TransitionWord)>,
     /// `(raw word, action view)` pairs, same layout.
     actions: Vec<(Word, Option<Action>)>,
@@ -138,53 +141,18 @@ impl DecodedProgram {
         }
     }
 
-    /// Table length in words.
-    pub fn len(&self) -> usize {
-        self.transitions.len()
-    }
-
-    /// True for an empty table.
-    pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
-    }
-
-    /// The whole `(raw word, transition view)` table, unvalidated — for
-    /// callers that already know the live memory words match the image
-    /// (pristine code window) and want the slice hoisted into a local
-    /// so the hot loop skips the pointer chase.
+    /// The whole `(raw word, transition view)` table — valid for
+    /// callers that know the live memory words match the image
+    /// (pristine code window) or that read the image itself.
     #[inline]
     pub fn transitions(&self) -> &[(Word, TransitionWord)] {
         &self.transitions
     }
 
-    /// The `(raw word, action view)` table, unvalidated.
+    /// The `(raw word, action view)` table, under the same rule.
     #[inline]
     pub fn actions(&self) -> &[(Word, Option<Action>)] {
         &self.actions
-    }
-
-    /// The predecoded transition at window offset `off`, provided the
-    /// live memory word `raw` still matches the image (i.e. the code
-    /// word was not overwritten since load).
-    #[inline]
-    pub fn transition(&self, off: usize, raw: Word) -> Option<TransitionWord> {
-        match self.transitions.get(off) {
-            Some(&(cached, t)) if cached == raw => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The predecoded action view at window offset `off`, under the
-    /// same raw-word validity rule. The outer `Option` is table
-    /// applicability; the inner one is decodability (`None` = fault,
-    /// as with [`Action::decode`]).
-    #[inline]
-    #[allow(clippy::option_option)]
-    pub fn action(&self, off: usize, raw: Word) -> Option<Option<Action>> {
-        match self.actions.get(off) {
-            Some(&(cached, a)) if cached == raw => Some(a),
-            _ => None,
-        }
     }
 }
 

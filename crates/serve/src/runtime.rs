@@ -260,6 +260,14 @@ impl Shared {
             w.append(rec);
         }
     }
+
+    /// Applies a tenant-state record to `st` and journals it: live calls
+    /// change journaled tenant state only through here, after checking
+    /// their own preconditions.
+    fn commit(&self, st: &mut State, rec: JournalRecord) {
+        st.apply(&self.config.default_quota, &rec);
+        self.journal_append(&rec);
+    }
 }
 
 /// How to stop the runtime.
@@ -462,11 +470,12 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Registers (or replaces) a kernel from a store [`Artifact`]
-    /// (`udp_store::Artifact`). The store already integrity-checked and
-    /// re-validated the image — certificate included — at load, so
-    /// registration skips the redundant re-verification and shares the
-    /// artifact's image by `Arc` (no copy) and predecodes it once.
+    /// Registers (or replaces) a kernel from a store
+    /// [`Artifact`](udp_store::Artifact). The store already
+    /// integrity-checked and re-validated the image — certificate
+    /// included — at load, so registration skips the redundant
+    /// re-verification and shares the artifact's image by `Arc` (no
+    /// copy) and predecodes it once.
     ///
     /// Unlike [`ServeHandle::register_kernel`], this registration is
     /// journaled (source + layout + fallback tag), so on a
@@ -616,34 +625,24 @@ impl ServeHandle {
     /// Sets (or replaces) `tenant`'s quota. Creates the tenant record
     /// if it has not submitted yet.
     pub fn set_quota(&self, tenant: impl Into<String>, quota: TenantQuota) {
-        let tenant = tenant.into();
         let rec = JournalRecord::SetQuota {
-            tenant: tenant.clone(),
+            tenant: tenant.into(),
             max_queued: quota.max_queued as u64,
             cycle_budget: quota.cycle_budget,
         };
-        let mut st = self.shared.lock();
-        match st.tenants.entry(tenant) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().quota = quota;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(TenantState::new(quota));
-            }
-        }
-        self.shared.journal_append(&rec);
+        self.shared.commit(&mut self.shared.lock(), rec);
     }
 
     /// Credits `cycles` back to `tenant`'s spent-cycle account (an
     /// operator refilling a budget). Saturates at zero.
     pub fn refill_quota(&self, tenant: &str, cycles: u64) {
         let mut st = self.shared.lock();
-        if let Some(t) = st.tenants.get_mut(tenant) {
-            t.cycles_used = t.cycles_used.saturating_sub(cycles);
-            self.shared.journal_append(&JournalRecord::Refill {
+        if st.tenants.contains_key(tenant) {
+            let rec = JournalRecord::Refill {
                 tenant: tenant.to_string(),
                 cycles,
-            });
+            };
+            self.shared.commit(&mut st, rec);
         }
     }
 
@@ -651,15 +650,11 @@ impl ServeHandle {
     /// action after the poison kernel is fixed).
     pub fn release_quarantine(&self, tenant: &str) {
         let mut st = self.shared.lock();
-        if let Some(t) = st.tenants.get_mut(tenant) {
-            if t.quarantined {
-                t.quarantined = false;
-                t.strikes = 0;
-                st.stats.tenants_quarantined = st.stats.tenants_quarantined.saturating_sub(1);
-                self.shared.journal_append(&JournalRecord::Release {
-                    tenant: tenant.to_string(),
-                });
-            }
+        if st.tenants.get(tenant).is_some_and(|t| t.quarantined) {
+            let rec = JournalRecord::Release {
+                tenant: tenant.to_string(),
+            };
+            self.shared.commit(&mut st, rec);
         }
     }
 
@@ -767,94 +762,92 @@ pub fn csv_kernel_artifact(
     Ok((artifact, csv_fallback()))
 }
 
-/// Applies one replayed journal record to the fresh runtime state.
-/// Mirrors the live mutation paths exactly — same entry-creation
-/// semantics, same saturating arithmetic — so a replayed service is
-/// indistinguishable at admission time from one that never stopped.
+/// Applies one replayed journal record to the fresh runtime state: a
+/// kernel registration is rebuilt through `store` (a live registration
+/// holds its artifact instead), every other record goes through
+/// [`State::apply`], the path the live calls take.
 fn apply_record(
     st: &mut State,
     store: &ArtifactStore,
     default_quota: &TenantQuota,
     rec: &JournalRecord,
 ) {
-    match rec {
-        JournalRecord::RegisterKernel {
-            name,
-            source,
-            layout,
-            fallback,
-        } => match store.get_or_build(source, layout) {
-            Ok(artifact) => {
-                let fallback = fallback.as_deref().and_then(builtin_fallback);
-                st.kernels.insert(
-                    name.clone(),
-                    KernelSpec {
-                        kernel: prepare_artifact(&artifact),
-                        banks_per_lane: artifact.banks_per_lane,
-                        fallback,
-                    },
-                );
-            }
-            Err(e) => {
-                st.stats.kernels_dropped += 1;
-                eprintln!("udp-serve: kernel `{name}` dropped at warm restart: {e}");
-            }
-        },
-        JournalRecord::SetQuota {
-            tenant,
-            max_queued,
-            cycle_budget,
-        } => {
-            let quota = TenantQuota {
-                max_queued: *max_queued as usize,
-                cycle_budget: *cycle_budget,
-            };
-            match st.tenants.entry(tenant.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().quota = quota;
+    let JournalRecord::RegisterKernel {
+        name,
+        source,
+        layout,
+        fallback,
+    } = rec
+    else {
+        st.apply(default_quota, rec);
+        return;
+    };
+    match store.get_or_build(source, layout) {
+        Ok(artifact) => {
+            let fallback = fallback.as_deref().and_then(builtin_fallback);
+            st.kernels.insert(
+                name.clone(),
+                KernelSpec {
+                    kernel: prepare_artifact(&artifact),
+                    banks_per_lane: artifact.banks_per_lane,
+                    fallback,
+                },
+            );
+        }
+        Err(e) => {
+            st.stats.kernels_dropped += 1;
+            eprintln!("udp-serve: kernel `{name}` dropped at warm restart: {e}");
+        }
+    }
+}
+
+impl State {
+    /// Applies one tenant-state record, live ([`Shared::commit`]) or
+    /// replayed ([`apply_record`]), so a replayed service is
+    /// indistinguishable at admission time from one that never
+    /// stopped. Records that charge, strike, quarantine or set a quota
+    /// create an unseen tenant with `default_quota` (admission creates
+    /// tenants unjournaled); `Release` and `Refill` of one do nothing.
+    fn apply(&mut self, default_quota: &TenantQuota, rec: &JournalRecord) {
+        use JournalRecord::*;
+        let t = match rec {
+            RegisterKernel { .. } => return,
+            Release { tenant } | Refill { tenant, .. } => match self.tenants.get_mut(tenant) {
+                Some(t) => t,
+                None => return,
+            },
+            SetQuota { tenant, .. }
+            | Charge { tenant, .. }
+            | Strike { tenant }
+            | Quarantine { tenant } => self
+                .tenants
+                .entry(tenant.clone())
+                .or_insert_with(|| TenantState::new(default_quota.clone())),
+        };
+        match *rec {
+            SetQuota {
+                max_queued,
+                cycle_budget,
+                ..
+            } => {
+                t.quota = TenantQuota {
+                    max_queued: max_queued as usize,
+                    cycle_budget,
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(TenantState::new(quota));
-                }
             }
-        }
-        JournalRecord::Charge { tenant, cycles } => {
-            let t = st
-                .tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| TenantState::new(default_quota.clone()));
-            t.cycles_used = t.cycles_used.saturating_add(*cycles);
-        }
-        JournalRecord::Strike { tenant } => {
-            let t = st
-                .tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| TenantState::new(default_quota.clone()));
-            t.strikes += 1;
-        }
-        JournalRecord::Quarantine { tenant } => {
-            let t = st
-                .tenants
-                .entry(tenant.clone())
-                .or_insert_with(|| TenantState::new(default_quota.clone()));
-            if !t.quarantined {
+            Charge { cycles, .. } => t.cycles_used = t.cycles_used.saturating_add(cycles),
+            Refill { cycles, .. } => t.cycles_used = t.cycles_used.saturating_sub(cycles),
+            Strike { .. } => t.strikes += 1,
+            Quarantine { .. } if !t.quarantined => {
                 t.quarantined = true;
-                st.stats.tenants_quarantined += 1;
+                self.stats.tenants_quarantined += 1;
             }
-        }
-        JournalRecord::Release { tenant } => {
-            if let Some(t) = st.tenants.get_mut(tenant) {
-                if t.quarantined {
-                    t.quarantined = false;
-                    t.strikes = 0;
-                    st.stats.tenants_quarantined = st.stats.tenants_quarantined.saturating_sub(1);
-                }
+            Release { .. } if t.quarantined => {
+                t.quarantined = false;
+                t.strikes = 0;
+                self.stats.tenants_quarantined = self.stats.tenants_quarantined.saturating_sub(1);
             }
-        }
-        JournalRecord::Refill { tenant, cycles } => {
-            if let Some(t) = st.tenants.get_mut(tenant) {
-                t.cycles_used = t.cycles_used.saturating_sub(*cycles);
-            }
+            _ => {}
         }
     }
 }
@@ -1109,12 +1102,12 @@ fn run_wave(shared: &Shared, udp: &mut Udp, kernel: &KernelSpec, jobs: Vec<Pendi
         // Quota accounting: modeled cycles, charged to the tenant.
         st.stats.bytes_in += job.payload.len() as u64;
         st.stats.cycles += cycles;
-        if let Some(t) = st.tenants.get_mut(&job.tenant) {
-            t.cycles_used = t.cycles_used.saturating_add(cycles);
-            shared.journal_append(&JournalRecord::Charge {
+        if st.tenants.contains_key(&job.tenant) {
+            let rec = JournalRecord::Charge {
                 tenant: job.tenant.clone(),
                 cycles,
-            });
+            };
+            shared.commit(&mut st, rec);
         }
         // Deadline enforcement at completion: a late result is dropped,
         // and a run cancelled by its deadline-derived cycle clamp is a
@@ -1164,17 +1157,17 @@ fn run_wave(shared: &Shared, udp: &mut Udp, kernel: &KernelSpec, jobs: Vec<Pendi
                 // A poisoned chunk: strike the tenant, and past the
                 // strike limit quarantine the tenant itself.
                 st.stats.quarantined_jobs += 1;
-                if let Some(t) = st.tenants.get_mut(&job.tenant) {
-                    t.strikes += 1;
-                    shared.journal_append(&JournalRecord::Strike {
+                if st.tenants.contains_key(&job.tenant) {
+                    let rec = JournalRecord::Strike {
                         tenant: job.tenant.clone(),
-                    });
+                    };
+                    shared.commit(&mut st, rec);
+                    let t = &st.tenants[&job.tenant];
                     if !t.quarantined && t.strikes >= shared.config.quarantine_strikes.max(1) {
-                        t.quarantined = true;
-                        st.stats.tenants_quarantined += 1;
-                        shared.journal_append(&JournalRecord::Quarantine {
+                        let rec = JournalRecord::Quarantine {
                             tenant: job.tenant.clone(),
-                        });
+                        };
+                        shared.commit(&mut st, rec);
                     }
                 }
                 Err(ServeError::JobQuarantined {

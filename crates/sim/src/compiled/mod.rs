@@ -60,7 +60,7 @@ use udp_asm::layout::CHAIN_CONTINUE_SIGNATURE;
 use udp_asm::{DecodedProgram, ProgramImage};
 use udp_isa::action::{Action, Opcode};
 use udp_isa::transition::{ExecKind, TransitionWord, FALLBACK_SIGNATURE};
-use udp_isa::BLOCK_CAP;
+use udp_isa::{Word, BLOCK_CAP};
 
 /// Packed dense-table entry layout: the top two bits select the entry
 /// class, the low 30 bits carry the payload (a compiled-state index or
@@ -854,7 +854,9 @@ impl CompiledProgram {
         if image.init.symbol_bits > 8 {
             return Err(Decline::WideSymbols);
         }
-        let span = image.words.len().min(decoded.transitions().len());
+        // The table was built from `image.words`, so it is read as the
+        // verbatim image.
+        let table = decoded.transitions();
         let wbase = image.init.wbase;
         let (abase, ascale) = (image.init.abase, image.init.ascale);
 
@@ -898,27 +900,32 @@ impl CompiledProgram {
             let succ = |states: &mut Vec<StateInfo>,
                         queue: &mut Vec<usize>,
                         index: &mut HashMap<(u32, u8), u32>,
-                        t: &TransitionWord| {
-                if t.kind() != ExecKind::Halt {
-                    intern(
-                        states,
-                        queue,
-                        index,
-                        wbase.wrapping_add(u32::from(t.target())),
-                        t.kind(),
-                    );
+                        t: &TransitionWord|
+             -> u32 {
+                if t.kind() == ExecKind::Halt {
+                    return u32::MAX;
                 }
+                intern(
+                    states,
+                    queue,
+                    index,
+                    wbase.wrapping_add(u32::from(t.target())),
+                    t.kind(),
+                )
             };
             match kind {
                 ExecKind::Halt => {}
                 ExecKind::Pass => {
-                    if let Some(t) = pass_transition(image, decoded, span, base) {
-                        succ(&mut states, &mut queue, &mut index, &t);
-                    }
+                    // Interning a successor gives its final index, so
+                    // the plan is complete the moment it is built.
+                    let plan = pass_plan(table, base, &mut |t| {
+                        succ(&mut states, &mut queue, &mut index, t)
+                    });
+                    states[st].pass = Some(plan);
                 }
                 ExecKind::Consume | ExecKind::Flagged => {
                     for s in 0u32..256 {
-                        let (hit_t, fb_t) = slot_transitions(image, decoded, span, base, s);
+                        let (hit_t, fb_t) = slot_transitions(table, base, s);
                         if let Some(t) = hit_t {
                             succ(&mut states, &mut queue, &mut index, &t);
                         } else if let Some(t) = fb_t {
@@ -946,17 +953,14 @@ impl CompiledProgram {
         for st in 0..n {
             let (base, kind) = (states[st].base, states[st].kind);
             match kind {
-                ExecKind::Halt => {}
-                ExecKind::Pass => {
-                    states[st].pass = Some(pass_plan(image, decoded, span, base, &resolve));
-                }
+                ExecKind::Halt | ExecKind::Pass => {}
                 ExecKind::Consume | ExecKind::Flagged => {
                     // Every signature miss of a state takes the same
                     // fallback word, so its general entry is built once
                     // and shared by all the state's missing symbols.
                     let mut fallback_entry = None;
                     for s in 0u32..256 {
-                        let (hit_t, fb_t) = slot_transitions(image, decoded, span, base, s);
+                        let (hit_t, fb_t) = slot_transitions(table, base, s);
                         let entry = match (hit_t, fb_t) {
                             (Some(t), _) => {
                                 let next = resolve(&t);
@@ -998,9 +1002,10 @@ impl CompiledProgram {
                                 // Distinguish "absent fallback word"
                                 // (NoTransition) from "slot outside the
                                 // verbatim image" (deopt).
-                                let slot = u64::from(base) + u64::from(s);
-                                let fb = u64::from(base) + u64::from(udp_isa::FALLBACK_SLOT);
-                                if slot < span as u64 && fb < span as u64 {
+                                let fb = udp_isa::FALLBACK_SLOT;
+                                if table_word(table, base, s).is_some()
+                                    && table_word(table, base, fb).is_some()
+                                {
                                     EXIT_NO_TRANSITION
                                 } else {
                                     EXIT_DEOPT
@@ -1153,104 +1158,68 @@ impl CompiledProgram {
 }
 
 /// The decoded transitions governing dispatch value `s` at a
-/// consuming/flagged state `base`, from the verbatim image:
+/// consuming/flagged state `base`, from the verbatim image's `table`:
 /// `(signature hit, fallback on miss)`. Either side is `None` when it
 /// does not apply *or* cannot be resolved from the image (caller
-/// disambiguates via the span).
+/// disambiguates via [`table_word`]).
 fn slot_transitions(
-    image: &ProgramImage,
-    decoded: &DecodedProgram,
-    span: usize,
+    table: &[(Word, TransitionWord)],
     base: u32,
     s: u32,
 ) -> (Option<TransitionWord>, Option<TransitionWord>) {
-    let slot = u64::from(base) + u64::from(s);
-    if slot >= span as u64 {
+    let Some((raw, t)) = table_word(table, base, s) else {
         return (None, None);
-    }
-    let raw = image.words[slot as usize];
+    };
     if raw != 0 && (raw >> 24) as u8 == (s & 0xFF) as u8 {
-        let t = decoded
-            .transition(slot as usize, raw)
-            .unwrap_or_else(|| TransitionWord::decode(raw));
         return (Some(t), None);
     }
     // Signature miss: the fallback slot decides.
-    let fb_slot = u64::from(base) + u64::from(udp_isa::FALLBACK_SLOT);
-    if fb_slot >= span as u64 {
-        return (None, None);
+    match table_word(table, base, udp_isa::FALLBACK_SLOT) {
+        Some((fb, t)) if fb != 0 => (None, Some(t)),
+        _ => (None, None),
     }
-    let fb = image.words[fb_slot as usize];
-    if fb == 0 {
-        return (None, None);
-    }
-    let t = decoded
-        .transition(fb_slot as usize, fb)
-        .unwrap_or_else(|| TransitionWord::decode(fb));
-    (None, Some(t))
 }
 
-/// The fallback transition a pass state takes, if resolvable from the
-/// verbatim image.
-fn pass_transition(
-    image: &ProgramImage,
-    decoded: &DecodedProgram,
-    span: usize,
+/// The `(raw word, transition view)` at `base + off`, if the verbatim
+/// image's `table` holds that address.
+fn table_word(
+    table: &[(Word, TransitionWord)],
     base: u32,
-) -> Option<TransitionWord> {
-    let fb_slot = u64::from(base) + u64::from(udp_isa::FALLBACK_SLOT);
-    if fb_slot >= span as u64 {
-        return None;
-    }
-    let raw = image.words[fb_slot as usize];
-    if raw == 0 {
-        return None;
-    }
-    Some(
-        decoded
-            .transition(fb_slot as usize, raw)
-            .unwrap_or_else(|| TransitionWord::decode(raw)),
-    )
+    off: u32,
+) -> Option<(Word, TransitionWord)> {
+    let at = usize::try_from(u64::from(base) + u64::from(off)).ok()?;
+    table.get(at).copied()
 }
 
-/// Precompiles a pass state's fallback word into the runtime plan,
-/// replicating the interpreter's signature semantics exactly.
+/// Precompiles a pass state's fallback word, read from the verbatim
+/// image's `table`, into the runtime plan, replicating the
+/// interpreter's signature semantics exactly. `resolve` gives the
+/// successor's state index (`u32::MAX` for none); it is called for
+/// every present fallback word, faulting signatures included.
 fn pass_plan(
-    image: &ProgramImage,
-    decoded: &DecodedProgram,
-    span: usize,
+    table: &[(Word, TransitionWord)],
     base: u32,
-    resolve: &dyn Fn(&TransitionWord) -> u32,
+    resolve: &mut dyn FnMut(&TransitionWord) -> u32,
 ) -> PassPlan {
-    let fb_slot = u64::from(base) + u64::from(udp_isa::FALLBACK_SLOT);
-    if fb_slot >= span as u64 {
+    let Some((raw, t)) = table_word(table, base, udp_isa::FALLBACK_SLOT) else {
         return PassPlan::Deopt;
-    }
-    let raw = image.words[fb_slot as usize];
+    };
     if raw == 0 {
         return PassPlan::NoTransition;
     }
-    let t = decoded
-        .transition(fb_slot as usize, raw)
-        .unwrap_or_else(|| TransitionWord::decode(raw));
+    let next = resolve(&t);
     match t.signature() {
         CHAIN_CONTINUE_SIGNATURE => PassPlan::FaultChain,
-        FALLBACK_SIGNATURE => {
-            let next = resolve(&t);
-            PassPlan::Take {
-                t,
-                refill: None,
-                next,
-            }
-        }
-        refill if refill <= 8 => {
-            let next = resolve(&t);
-            PassPlan::Take {
-                t,
-                refill: Some(refill),
-                next,
-            }
-        }
+        FALLBACK_SIGNATURE => PassPlan::Take {
+            t,
+            refill: None,
+            next,
+        },
+        refill if refill <= 8 => PassPlan::Take {
+            t,
+            refill: Some(refill),
+            next,
+        },
         other => PassPlan::FaultBadSig(other),
     }
 }

@@ -278,28 +278,24 @@ impl Udp {
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
-        let kernel = prepared::CACHE.get(image, None);
+        let kernel = prepared::CACHE.get(image);
         self.run(&kernel, inputs, staging, opts)
     }
 
-    /// [`Udp::try_run_data_parallel`] with a caller-provided predecoded
-    /// table, for callers that already hold one. The table is only
-    /// consulted when the process-wide cache misses: it is shared if its
-    /// raw words are exactly `image.words` and replaced by a fresh
-    /// predecode otherwise, so a table of another image — even one of
-    /// the same length — can never run in this image's place. Callers
+    /// Exactly [`Udp::try_run_data_parallel`]: the predecoded table
+    /// argument is not read, since the process-wide kernel cache
+    /// predecodes each image itself. Kept for existing callers; callers
     /// that own the kernel should build a [`PreparedKernel`] and call
     /// [`Udp::run`] instead.
     pub fn try_run_data_parallel_shared(
         &mut self,
         image: &ProgramImage,
-        decoded: &Arc<DecodedProgram>,
+        _decoded: &Arc<DecodedProgram>,
         inputs: &[&[u8]],
         staging: &Staging,
         opts: &UdpRunOptions,
     ) -> Result<UdpRunReport, SimError> {
-        let kernel = prepared::CACHE.get(image, Some(decoded));
-        self.run(&kernel, inputs, staging, opts)
+        self.try_run_data_parallel(image, inputs, staging, opts)
     }
 
     /// Runs a prepared kernel data-parallel over `inputs`, one chunk
@@ -621,24 +617,11 @@ impl SeenSet {
 /// targets. Cycle cost is one dispatch per active state per symbol,
 /// which is what makes large NFAs slower but smaller than DFAs.
 ///
-/// Predecodes the image first; callers that run the same image over
-/// many inputs should predecode once and use [`run_nfa_decoded`].
+/// Every word is decoded as it is read from memory. Frontier states
+/// dedup through a reusable generation-stamped set instead of a
+/// per-symbol sort, which changes only the in-`reports` ordering of
+/// simultaneous matches, never their multiset or any count.
 pub fn run_nfa(image: &ProgramImage, input: &[u8], cfg: &LaneConfig) -> LaneReport {
-    run_nfa_decoded(image, &image.predecode(), input, cfg)
-}
-
-/// [`run_nfa`] over a shared predecoded view of `image` (decode-once /
-/// execute-many). Lookups are validated against the raw memory word, so
-/// the modeled counters are identical to decoding on every dispatch;
-/// frontier states dedup through a reusable generation-stamped set
-/// instead of a per-symbol sort, which changes only the in-`reports`
-/// ordering of simultaneous matches, never their multiset or any count.
-pub fn run_nfa_decoded(
-    image: &ProgramImage,
-    decoded: &DecodedProgram,
-    input: &[u8],
-    cfg: &LaneConfig,
-) -> LaneReport {
     assert!(image.executable);
     let words = (image.stats.span_words + 1024).max(8192);
     let mut mem = LocalMemory::with_words(words);
@@ -658,7 +641,6 @@ pub fn run_nfa_decoded(
     let mut cycles = 0u64;
     let mut nfa = NfaCtx {
         mem: &mut mem,
-        decoded,
         cycles: &mut cycles,
         reports: &mut reports,
         accepted: &mut accepted,
@@ -692,9 +674,9 @@ pub fn run_nfa_decoded(
             *nfa.cycles += 1;
             dispatches += 1;
             let raw = nfa.mem.read_word(base + s);
-            let hit = raw != 0 && nfa.transition(base + s, raw).signature() == byte;
+            let hit = raw != 0 && (raw >> 24) as u8 == byte;
             let taken = if hit {
-                Some(nfa.transition(base + s, raw))
+                Some(TransitionWord::decode(raw))
             } else {
                 *nfa.cycles += 1;
                 fallback_misses += 1;
@@ -703,7 +685,7 @@ pub fn run_nfa_decoded(
                 if fb == 0 {
                     None // this activation dies
                 } else {
-                    Some(nfa.transition(fb_addr, fb))
+                    Some(TransitionWord::decode(fb))
                 }
             };
             let Some(t) = taken else { continue };
@@ -736,7 +718,6 @@ pub fn run_nfa_decoded(
 /// six).
 struct NfaCtx<'a> {
     mem: &'a mut LocalMemory,
-    decoded: &'a DecodedProgram,
     cycles: &'a mut u64,
     reports: &'a mut Vec<(u16, u32)>,
     accepted: &'a mut bool,
@@ -744,15 +725,6 @@ struct NfaCtx<'a> {
 }
 
 impl NfaCtx<'_> {
-    /// Transition view of the word at `addr` whose raw bits are `raw`:
-    /// predecoded table when valid (NFA memory is never written after
-    /// load, so this is the steady state), decode otherwise.
-    fn transition(&self, addr: u32, raw: u32) -> TransitionWord {
-        self.decoded
-            .transition(addr as usize, raw)
-            .unwrap_or_else(|| TransitionWord::decode(raw))
-    }
-
     /// Follows a taken transition to consuming successors, expanding
     /// epsilon forks and running Report/Accept side effects (the only
     /// actions NFA programs attach). Successors dedup against the
@@ -765,12 +737,7 @@ impl NfaCtx<'_> {
                 udp_isa::AttachMode::Scaled => addr, // abase = 0 in NFA programs
             };
             for a in flat..flat.saturating_add(64) {
-                let raw = self.mem.read_word(a);
-                let Some(act) = self
-                    .decoded
-                    .action(a as usize, raw)
-                    .unwrap_or_else(|| udp_isa::Action::decode(raw))
-                else {
+                let Some(act) = udp_isa::Action::decode(self.mem.read_word(a)) else {
                     break;
                 };
                 *self.cycles += 1;
@@ -804,7 +771,7 @@ impl NfaCtx<'_> {
                     if raw == 0 {
                         break;
                     }
-                    let w = self.transition(addr, raw);
+                    let w = TransitionWord::decode(raw);
                     self.resolve_activation(&w, pos, next);
                     if w.signature() != CHAIN_CONTINUE_SIGNATURE {
                         break;

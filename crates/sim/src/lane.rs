@@ -247,17 +247,15 @@ pub struct Lane {
     pub(crate) actions_run: u64,
     extra_refs: u64,
     /// Predecoded view of the loaded image, window-relative — empty
-    /// for the lazy reference lane ([`Lane::new`]). Lookups are
-    /// validated against the raw memory word and a miss decodes the
-    /// word read from memory, so self-modifying programs
-    /// (restricted/global addressing writes into code) and the lazy
-    /// lane keep decode-on-read semantics.
+    /// for the lazy reference lane ([`Lane::new`]). Read only while
+    /// `code_clean` holds; every other fetch decodes the word it reads
+    /// from memory.
     pub(crate) decoded: Arc<DecodedProgram>,
     /// True while the code span at `origin` is known to hold the
     /// pristine image (set by [`Lane::mark_code_clean`], cleared on any
-    /// lane write into the span). While clean, code fetches come
-    /// straight from the predecoded table — counted as memory
-    /// references but without re-reading and re-validating the word.
+    /// lane write into the span). While clean, code fetches inside the
+    /// span come straight from the predecoded table — counted as memory
+    /// references but without re-reading the word.
     pub(crate) code_clean: bool,
     /// Image span in words (the region `code_clean` covers).
     code_len: u32,
@@ -266,8 +264,8 @@ pub struct Lane {
 impl Lane {
     /// Creates a lane positioned at a program image loaded at
     /// `origin_words`, decoding words lazily as they are fetched: its
-    /// table is empty, so every lookup misses. The reference the
-    /// predecoded lanes are tested against.
+    /// table is empty, so every fetch reads memory and decodes. The
+    /// reference the predecoded lanes are tested against.
     pub fn new(image: &ProgramImage, origin_words: u32) -> Self {
         Self::with_decoded(
             image,
@@ -276,10 +274,11 @@ impl Lane {
         )
     }
 
-    /// Like [`Lane::new`], but executing out of a shared predecoded
-    /// table (decode-once / execute-many). The table must come from
-    /// the same `image`; simulated cycles, references, and outputs are
-    /// bit-identical to the lazy-decoding lane.
+    /// Like [`Lane::new`], but holding a shared predecoded table
+    /// (decode-once / execute-many), which the lane reads once
+    /// [`Lane::mark_code_clean`] declares the code pristine. The table
+    /// must come from the same `image`; simulated cycles, references,
+    /// and outputs are bit-identical to the lazy-decoding lane.
     pub fn with_decoded(
         image: &ProgramImage,
         origin_words: u32,
@@ -335,32 +334,16 @@ impl Lane {
         lane
     }
 
-    /// Looks up the transition at flat address `addr` whose raw memory
-    /// word is `raw`: predecoded table when valid, decode otherwise.
-    #[inline]
-    fn transition_at(&self, addr: u32, raw: u32) -> TransitionWord {
-        addr.checked_sub(self.origin)
-            .and_then(|off| self.decoded.transition(off as usize, raw))
-            .unwrap_or_else(|| TransitionWord::decode(raw))
-    }
-
-    /// Action-view twin of [`Lane::transition_at`].
-    #[inline]
-    fn action_at(&self, addr: u32, raw: u32) -> Option<Action> {
-        addr.checked_sub(self.origin)
-            .and_then(|off| self.decoded.action(off as usize, raw))
-            .unwrap_or_else(|| Action::decode(raw))
-    }
-
     /// Declares that the memory this lane will run against holds the
     /// pristine image at `origin` (freshly loaded, fully in bounds, no
     /// staging segment overlapping the code span). While that holds,
-    /// code fetches are served from the predecoded table directly —
-    /// still counted as memory references, but without the re-read and
-    /// raw-word validation. The lane clears the flag itself the moment
-    /// it writes into its own code span, so self-modifying programs
-    /// keep decode-on-read semantics. Cycle, reference, and conflict
-    /// numbers are identical either way. (A lane with an empty table,
+    /// code fetches inside the span are served from the predecoded
+    /// table — still counted as memory references, but without the
+    /// re-read. Every other fetch decodes the word it reads from
+    /// memory. The lane clears the flag itself the moment it writes
+    /// into its own code span, so self-modifying programs keep
+    /// decode-on-read semantics. Cycle, reference, and conflict numbers
+    /// are identical either way. (A lane with an empty table,
     /// [`Lane::new`], still reads and decodes every word.)
     pub fn mark_code_clean(&mut self) {
         self.code_clean = true;
@@ -384,43 +367,45 @@ impl Lane {
         }
     }
 
-    /// Fetches the transition word at `addr`: the raw bits plus, when
-    /// the pristine-code fast path applies, the predecoded view.
-    /// Counts exactly one memory reference either way.
+    /// Fetches the transition word at `addr`: its raw bits and its
+    /// view, from the predecoded table while the code is pristine and
+    /// `addr` lies in it, decoded from the word read otherwise. Counts
+    /// exactly one memory reference either way.
     #[inline]
     fn fetch_transition(
         &self,
         addr: u32,
         mem: &mut LocalMemory,
         tables: CodeTables,
-    ) -> (u32, Option<TransitionWord>) {
+    ) -> (u32, TransitionWord) {
         if self.code_clean {
             let off = addr.wrapping_sub(self.origin) as usize;
             if let Some(&(raw, t)) = tables.transitions.get(off) {
                 mem.count_read(addr);
-                return (raw, Some(t));
+                return (raw, t);
             }
         }
-        (mem.read_word(addr), None)
+        let raw = mem.read_word(addr);
+        (raw, TransitionWord::decode(raw))
     }
 
     /// Action-view twin of [`Lane::fetch_transition`].
     #[inline]
-    #[allow(clippy::option_option)]
     fn fetch_action(
         &self,
         addr: u32,
         mem: &mut LocalMemory,
         tables: CodeTables,
-    ) -> (u32, Option<Option<Action>>) {
+    ) -> (u32, Option<Action>) {
         if self.code_clean {
             let off = addr.wrapping_sub(self.origin) as usize;
             if let Some(&(raw, a)) = tables.actions.get(off) {
                 mem.count_read(addr);
-                return (raw, Some(a));
+                return (raw, a);
             }
         }
-        (mem.read_word(addr), None)
+        let raw = mem.read_word(addr);
+        (raw, Action::decode(raw))
     }
 
     /// Presets a scalar register (host staging before the run).
@@ -607,12 +592,11 @@ impl Lane {
                 self.cycles += 1;
                 self.dispatches += 1;
                 let addr = self.base + udp_isa::FALLBACK_SLOT;
-                let (raw, pre) = self.fetch_transition(addr, mem, tables);
+                let (raw, t) = self.fetch_transition(addr, mem, tables);
                 if raw == 0 {
                     self.status = LaneStatus::NoTransition;
                     return;
                 }
-                let t = pre.unwrap_or_else(|| self.transition_at(addr, raw));
                 match t.signature() {
                     CHAIN_CONTINUE_SIGNATURE => {
                         self.status = LaneStatus::Fault(FaultKind::Addressing {
@@ -658,23 +642,23 @@ impl Lane {
         self.dispatches += 1;
         self.regs[13] = s; // symbol latch (R13)
         let slot = self.base + s;
-        let (raw, pre) = self.fetch_transition(slot, mem, tables);
+        let (raw, t) = self.fetch_transition(slot, mem, tables);
         // The signature lives in the top byte of the raw encoding, so
         // the hit check needs no decode at all.
         let hit = raw != 0 && (raw >> 24) as u8 == (s & 0xFF) as u8;
         let t = if hit {
-            pre.unwrap_or_else(|| self.transition_at(slot, raw))
+            t
         } else {
             // Signature miss: one extra cycle to read the fallback slot.
             self.cycles += 1;
             self.fallback_misses += 1;
             let fb_slot = self.base + udp_isa::FALLBACK_SLOT;
-            let (fb, fb_pre) = self.fetch_transition(fb_slot, mem, tables);
+            let (fb, fb_t) = self.fetch_transition(fb_slot, mem, tables);
             if fb == 0 {
                 self.status = LaneStatus::NoTransition;
                 return;
             }
-            fb_pre.unwrap_or_else(|| self.transition_at(fb_slot, fb))
+            fb_t
         };
         self.take(&t, mem, stream, out, tables);
     }
@@ -734,11 +718,7 @@ impl Lane {
         tables: CodeTables,
     ) {
         for _ in 0..budget {
-            let (raw, pre) = self.fetch_action(addr, mem, tables);
-            let decoded = match pre {
-                Some(a) => a,
-                None => self.action_at(addr, raw),
-            };
+            let (raw, decoded) = self.fetch_action(addr, mem, tables);
             let Some(a) = decoded else {
                 self.status = LaneStatus::Fault(FaultKind::UndecodableWord { addr, raw });
                 return;

@@ -36,27 +36,9 @@ pub struct PreparedKernel {
 impl PreparedKernel {
     /// Prepares `image`, predecoding it.
     pub fn new(image: Arc<ProgramImage>) -> Self {
-        let decoded = Arc::new(image.predecode());
-        Self::from_parts(image, decoded)
-    }
-
-    /// Prepares `image` around a caller's predecoded table. The table is shared only if its raw words
-    /// are exactly `image.words`; otherwise the image is predecoded
-    /// afresh. Lanes fetch from the table without re-reading memory
-    /// while the code is pristine, so a table from another image would
-    /// run another program.
-    pub fn with_decoded(image: Arc<ProgramImage>, decoded: &Arc<DecodedProgram>) -> Self {
-        if decodes_words(decoded, &image.words) {
-            Self::from_parts(image, Arc::clone(decoded))
-        } else {
-            Self::new(image)
-        }
-    }
-
-    fn from_parts(image: Arc<ProgramImage>, decoded: Arc<DecodedProgram>) -> Self {
         PreparedKernel {
+            decoded: Arc::new(image.predecode()),
             image,
-            decoded,
             compiled: OnceLock::new(),
             host_rates: Default::default(),
         }
@@ -129,25 +111,16 @@ impl KernelCache {
         }
     }
 
-    /// The cached kernel for `image`, preparing one on a miss. A
-    /// caller's `decoded` table is consulted only on a miss, and shared
-    /// only if it is the predecode of `image`
-    /// ([`PreparedKernel::with_decoded`]).
-    pub(crate) fn get(
-        &self,
-        image: &ProgramImage,
-        decoded: Option<&Arc<DecodedProgram>>,
-    ) -> Arc<PreparedKernel> {
+    /// The cached kernel for `image`, preparing one (predecoding
+    /// `image` itself) on a miss.
+    pub(crate) fn get(&self, image: &ProgramImage) -> Arc<PreparedKernel> {
         if let Some(kernel) = Self::touch(&mut self.lock(), image) {
             return kernel;
         }
         // Predecode outside the lock, so a miss never stalls the other
         // threads' hits.
         let image = Arc::new(image.clone());
-        let kernel = Arc::new(match decoded {
-            Some(d) => PreparedKernel::with_decoded(image, d),
-            None => PreparedKernel::new(image),
-        });
+        let kernel = Arc::new(PreparedKernel::new(image));
         let mut entries = self.lock();
         // Another thread may have prepared the same image meanwhile:
         // the first entry wins, so each image compiles once.
@@ -174,18 +147,6 @@ impl KernelCache {
     fn lock(&self) -> MutexGuard<'_, Vec<Arc<PreparedKernel>>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-/// True when `decoded` is the predecode of `words`: its raw words are
-/// exactly `words`. (Both of its views are built from the same words,
-/// so checking one view checks the table.)
-fn decodes_words(decoded: &DecodedProgram, words: &[u32]) -> bool {
-    decoded.len() == words.len()
-        && decoded
-            .transitions()
-            .iter()
-            .zip(words)
-            .all(|(&(raw, _), &w)| raw == w)
 }
 
 #[cfg(test)]
@@ -227,8 +188,8 @@ mod tests {
     fn equal_images_share_one_kernel() {
         let cache = KernelCache::new(4);
         let a = scanner(b'!');
-        let first = cache.get(&a, None);
-        let second = cache.get(&a.clone(), Some(&Arc::new(a.predecode())));
+        let first = cache.get(&a);
+        let second = cache.get(&a.clone());
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.lock().len(), 1);
     }
@@ -248,7 +209,7 @@ mod tests {
         certified.cert = Some(ResourceCert::default());
         let kernels: Vec<_> = [&a, &flipped, &certified]
             .iter()
-            .map(|image| cache.get(image, None))
+            .map(|image| cache.get(image))
             .collect();
         assert_eq!(order(&cache), vec![certified, flipped, a]);
         for (i, x) in kernels.iter().enumerate() {
@@ -263,14 +224,14 @@ mod tests {
         let cache = KernelCache::new(3);
         let images: Vec<ProgramImage> = (b'0'..b'6').map(scanner).collect();
         for image in &images[..3] {
-            cache.get(image, None);
+            cache.get(image);
         }
         // Touching 0 leaves 1 least recently used.
-        cache.get(&images[0], None);
-        cache.get(&images[3], None);
+        cache.get(&images[0]);
+        cache.get(&images[3]);
         assert_eq!(order(&cache), [3, 0, 2].map(|i| images[i].clone()));
         for image in images.iter().chain(images.iter().rev()) {
-            let kernel = cache.get(image, None);
+            let kernel = cache.get(image);
             assert_eq!(cache.lock().len(), 3);
             for backend in [ExecBackend::Interpreter, ExecBackend::Compiled] {
                 let fresh = PreparedKernel::new(Arc::new(image.clone()));

@@ -1,6 +1,6 @@
 //! Prepared kernels and the process-wide prepared-kernel cache: a
 //! cached kernel is never reused for a different image, a caller's
-//! predecoded table is never trusted for another image, copy-back
+//! predecoded table never runs in place of the image's own, copy-back
 //! leaves device memory exactly as full-window copies would, and the
 //! calling thread's pool worker degrades a panicking chunk like any
 //! other worker.
@@ -10,10 +10,7 @@ use udp_asm::{LayoutOptions, ProgramBuilder, ProgramImage, ResourceCert, Target}
 use udp_isa::action::{Action, Opcode};
 use udp_isa::mem::{AddressingMode, BANK_WORDS, NUM_BANKS};
 use udp_isa::Reg;
-use udp_sim::{
-    ExecBackend, FaultKind, Lane, LaneConfig, LaneStatus, PreparedKernel, Staging, Udp,
-    UdpRunOptions,
-};
+use udp_sim::{ExecBackend, FaultKind, Lane, LaneConfig, LaneStatus, Staging, Udp, UdpRunOptions};
 
 const BACKENDS: [ExecBackend; 2] = [ExecBackend::Interpreter, ExecBackend::Compiled];
 
@@ -98,26 +95,6 @@ fn shared_table_of_an_equal_length_image_is_not_trusted() {
             assert_eq!(rep, fresh_run(&b, &inputs, &o));
         }
     }
-    // The same holds for a kernel prepared around the wrong table.
-    let kernel = PreparedKernel::with_decoded(Arc::new(b.clone()), &table_of_a);
-    assert!(!Arc::ptr_eq(kernel.decoded(), &table_of_a));
-    let rep = Udp::new()
-        .run(
-            &kernel,
-            &inputs,
-            &Staging::default(),
-            &opts(ExecBackend::Interpreter, false),
-        )
-        .unwrap();
-    assert_eq!(rep.concat_output(), b"???");
-}
-
-#[test]
-fn matching_shared_table_is_shared() {
-    let a = Arc::new(scanner(b'!'));
-    let table = Arc::new(a.predecode());
-    let kernel = PreparedKernel::with_decoded(Arc::clone(&a), &table);
-    assert!(Arc::ptr_eq(kernel.decoded(), &table));
 }
 
 /// `a` with the emitted byte of its one `EmitB` action changed.

@@ -88,8 +88,9 @@ echo "== certification soundness gate (DESIGN.md §9.1) =="
 # the bit-flip mutation sweep and the random-program property.
 cargo test --release -q -p udp-bench --test cert_soundness
 
-echo "== rustdoc gate: udp-isa, udp-asm, udp-sim, udp-verify (-D warnings) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p udp-isa -p udp-asm -p udp-sim -p udp-verify
+echo "== rustdoc gate: isa, asm, sim, verify, store, serve, fault, compilers, udp (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p udp-isa -p udp-asm -p udp-sim -p udp-verify \
+  -p udp-store -p udp-serve -p udp-fault -p udp-compilers -p udp
 
 echo "== fault_fuzz smoke gate (DESIGN.md §8) + static-reject oracle (§9) =="
 # Gates on zero whole-run aborts, the static-reject floor, and a 100%
